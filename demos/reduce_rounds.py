@@ -11,7 +11,7 @@ nu/2 in modulus, and folds them into y. Round i runs at radius
 import numpy as np
 
 from sparsefourier.dft import Universe, densify
-from sparsefourier.reduction import ReduceInput, linfinity_reduce
+from sparsefourier.reduction import linfinity_reduce
 from sparsefourier.sampling import AuditedSignal, SampleBundle
 from sparsefourier.signals import SignalSpec, gen_signal
 
@@ -31,7 +31,7 @@ print(f"bundle: H={H} rows x R={R} lists x B={B} points = {bundle.total_points()
 y = {}
 for i in range(1, H + 1):
     radius = 2.0 ** (1 - i) * nu
-    out = linfinity_reduce(ReduceInput(signal, y, bundle.lists[i - 1], radius))
+    out = linfinity_reduce(signal, y, bundle.lists[i - 1], radius)
     for f, v in out.z.items():
         y[f] = y.get(f, 0) + v
     resid = float(np.max(np.abs(xhat - densify(u, y))))

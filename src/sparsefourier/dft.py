@@ -79,12 +79,17 @@ def unflat_index(u: Universe, flat) -> np.ndarray:
 
 
 def forward(u: Universe, x: np.ndarray) -> np.ndarray:
-    """Forward transform, positive exponent, unitary normalization."""
+    """Forward transform, positive exponent, unitary normalization.
+
+    Leading axes are a batch: an (R, n) array gives R transforms.
+    """
     x = np.asarray(x)
-    if x.shape != (u.n,):
-        raise ValueError(f"expected flat array of length {u.n}, got {x.shape}")
-    out = np.fft.ifftn(x.reshape(u.shape)) * np.sqrt(u.n)
-    return out.ravel()
+    if x.ndim == 0 or x.shape[-1] != u.n:
+        raise ValueError(f"expected trailing axis of length {u.n}, got {x.shape}")
+    batch = x.shape[:-1]
+    axes = tuple(range(len(batch), len(batch) + u.d))
+    out = np.fft.ifftn(x.reshape(batch + u.shape), axes=axes) * np.sqrt(u.n)
+    return out.reshape(x.shape)
 
 
 def inverse(u: Universe, xhat: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ __all__ = [
     "RecoveryResult",
     "ShiftFailure",
     "build_schedule",
+    "ceil_log2",
     "sample_budget",
     "fourier_sparse_recovery",
     "fourier_sparse_recovery_by_projection",
@@ -101,16 +102,12 @@ PAPER_PROFILE = RecoveryConfig(c_b=10**6, c_r=10**3, c_h=20, alpha=1e-3, beta=0.
 DESK_PROFILE = RecoveryConfig(c_b=8, c_r=4, c_h=3, alpha=0.02, beta=0.08, c_s=26)
 
 
-def _ceil_log2_int(m: int) -> int:
-    if m < 1:
-        raise ValueError(f"need a positive integer, got {m}")
-    return (m - 1).bit_length() if m > 1 else 0
-
-
-def _ceil_log2_real(x: float) -> int:
-    """Smallest integer e with 2^e >= x, exact on powers of two."""
-    if x <= 0:
-        raise ValueError(f"need a positive value, got {x}")
+def ceil_log2(x) -> int:
+    """Smallest integer e with 2^e >= x, exact on powers of two and on any int."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"need a positive finite value, got {x}")
+    if isinstance(x, (int, np.integer)):
+        return (int(x) - 1).bit_length()
     mant, exp = math.frexp(x)  # x = mant * 2^exp with mant in [0.5, 1)
     return exp - 1 if mant == 0.5 else exp
 
@@ -168,10 +165,10 @@ def build_schedule(
     if rstar < 2:
         raise ValueError(f"dynamic range bound rstar must be at least 2, got {rstar}")
 
-    log2_rstar = _ceil_log2_real(rstar)
+    log2_rstar = ceil_log2(rstar)
     b = config.c_b * k
-    r = config.c_r * _ceil_log2_int(n)
-    h_base = _ceil_log2_int(k) + config.c_h
+    r = config.c_r * ceil_log2(n)
+    h_base = ceil_log2(k) + config.c_h
     h_floor = math.ceil(3 + math.log2(config.c_s * k / config.alpha))
     if warmup:
         h = config.warmup_h
@@ -266,7 +263,7 @@ def _drive(
     u = x.universe
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     x.grant_bundle(bundle)
-    cap = config.max_shift_attempts_factor * _ceil_log2_int(u.n)
+    cap = config.max_shift_attempts_factor * ceil_log2(u.n)
 
     y: dict = {}
     diags = []

@@ -15,53 +15,21 @@ down from nu to 2^(1-H)*nu.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .dft import densify, inverse, sparse_eval_time
-from .sampling import AuditedSignal, SampleBundle
+from .dft import sparse_eval_time
+from .sampling import AuditedSignal, SampleBundle, subset_transform_dense
 
-__all__ = ["ReduceInput", "ReduceOutput", "linfinity_reduce", "reduce_h_rounds"]
-
-
-@dataclass
-class ReduceInput:
-    """Inputs for one shrinking round.
-
-    The caller promises sup|xhat - y| <= 2*nu; that cannot be checked here
-    without the true spectrum, so tests verify it through an oracle.
-    """
-
-    signal: AuditedSignal
-    y: dict
-    lists: tuple
-    nu: float
-    keep_medians: bool = False
-    dense_time_eval: bool = False
+__all__ = ["ReduceOutput", "linfinity_reduce", "reduce_h_rounds"]
 
 
 @dataclass
 class ReduceOutput:
+    """Kept entries z of one round, and the medians eta they were cut from."""
+
     z: dict
-    eta: Optional[np.ndarray] = field(default=None, repr=False)
-
-
-def _batched_subset_transforms(u, lists, residuals) -> np.ndarray:
-    """All R dense subset estimates at once, one batched transform.
-
-    Row r is subset_transform_dense(residuals[r], lists[r]): the per-list
-    scale n/|T_r| is folded into the scattered values, so a single
-    ifft over the trailing axes finishes every row.
-    """
-    r_count = len(lists)
-    mat = np.zeros((r_count, u.n), dtype=np.complex128)
-    rows = np.concatenate([np.full(len(t), i) for i, t in enumerate(lists)])
-    cols = np.concatenate([t.flats for t in lists])
-    vals = np.concatenate([res * (u.n / len(t)) for t, res in zip(lists, residuals)])
-    np.add.at(mat, (rows, cols), vals)
-    cube = np.fft.ifftn(mat.reshape((r_count,) + u.shape), axes=tuple(range(1, u.d + 1)))
-    return cube.reshape(r_count, u.n) * np.sqrt(u.n)
+    eta: np.ndarray = field(repr=False)
 
 
 def _lower_median(arr: np.ndarray) -> np.ndarray:
@@ -69,39 +37,30 @@ def _lower_median(arr: np.ndarray) -> np.ndarray:
     return np.sort(arr, axis=0)[(arr.shape[0] - 1) // 2]
 
 
-def linfinity_reduce(inp: ReduceInput) -> ReduceOutput:
+def linfinity_reduce(signal: AuditedSignal, y: dict, lists, nu: float) -> ReduceOutput:
     """One shrinking round: median estimates, then threshold at nu/2.
 
-    Every sample list is read in full through the audited accessor. The
-    current approximation y is evaluated only at the sampled time points
-    (sparse evaluation); dense_time_eval switches to evaluating y by a full
-    inverse transform instead, which costs O(n log n) but must produce the
-    same output, and the tests hold it to that.
+    The caller promises sup|xhat - y| <= 2*nu, which tests verify through an
+    oracle. Every sample list is read in full through the audited accessor,
+    and y is evaluated only at the sampled time points (sparse evaluation).
     """
-    lists = tuple(inp.lists)
+    lists = tuple(lists)
     if len(lists) == 0:
         raise ValueError("need at least one sample list")
-    u = inp.signal.universe
+    u = signal.universe
     for t in lists:
         if t.universe != u:
             raise ValueError(f"sample list universe {t.universe} != signal universe {u}")
-    if inp.nu <= 0:
-        raise ValueError(f"radius nu must be positive, got {inp.nu}")
+    if nu <= 0:
+        raise ValueError(f"radius nu must be positive, got {nu}")
 
-    if inp.dense_time_eval:
-        w_dense = inverse(u, densify(u, inp.y))
-        residuals = [inp.signal.read(t.flats) - w_dense[t.flats] for t in lists]
-    else:
-        residuals = [
-            inp.signal.read(t.flats) - sparse_eval_time(u, inp.y, t.points) for t in lists
-        ]
-
-    estimates = _batched_subset_transforms(u, lists, residuals)
+    residuals = [signal.read(t.flats) - sparse_eval_time(u, y, t.points) for t in lists]
+    estimates = subset_transform_dense(residuals, lists)
     eta = _lower_median(estimates.real) + 1j * _lower_median(estimates.imag)
 
-    keep = np.abs(eta) >= inp.nu / 2
+    keep = np.abs(eta) >= nu / 2
     z = {int(f): complex(eta[f]) for f in np.nonzero(keep)[0]}
-    return ReduceOutput(z=z, eta=eta if inp.keep_medians else None)
+    return ReduceOutput(z=z, eta=eta)
 
 
 def reduce_h_rounds(
@@ -110,7 +69,6 @@ def reduce_h_rounds(
     bundle: SampleBundle,
     nu: float,
     h: int,
-    dense_time_eval: bool = False,
 ) -> dict:
     """Run H rounds with geometrically shrinking radius, accumulating z.
 
@@ -124,15 +82,7 @@ def reduce_h_rounds(
         combined = dict(y)
         for f, v in z.items():
             combined[f] = combined.get(f, 0) + v
-        out = linfinity_reduce(
-            ReduceInput(
-                signal=signal,
-                y=combined,
-                lists=bundle.lists[i - 1],
-                nu=(2.0 ** (1 - i)) * nu,
-                dense_time_eval=dense_time_eval,
-            )
-        )
-        for f, v in out.z.items():
+        kept = linfinity_reduce(signal, combined, bundle.lists[i - 1], (2.0 ** (1 - i)) * nu).z
+        for f, v in kept.items():
             z[f] = z.get(f, 0) + v
     return z

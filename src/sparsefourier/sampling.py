@@ -219,20 +219,31 @@ def subset_transform_single(samples, t: SampleList, f) -> complex:
     return complex(est * np.sqrt(u.n) / len(t))
 
 
-def subset_transform_dense(samples, t: SampleList) -> np.ndarray:
-    """Estimate all n spectrum entries at once.
+def subset_transform_dense(samples, lists) -> np.ndarray:
+    """Estimate all n spectrum entries from each of R sample lists at once.
 
-    Scatter the samples onto a dense time vector (summing duplicates), then
-    one forward transform gives (n/|T|) * forward(v), which matches the
-    per-frequency estimator entrywise.
+    Row r of the (R, n) result comes from samples[r] taken at lists[r]: the
+    samples are scattered (summing duplicates) with the scale n/|T_r| folded
+    in, then one batched forward transform matches the per-frequency
+    estimator entrywise on every row.
     """
-    vals = np.asarray(samples, dtype=np.complex128)
-    if vals.shape != (len(t),):
-        raise ValueError(f"got {vals.shape[0] if vals.ndim else 0} samples for {len(t)} points")
-    u = t.universe
-    v = np.zeros(u.n, dtype=np.complex128)
-    np.add.at(v, t.flats, vals)
-    return forward(u, v) * (u.n / len(t))
+    lists = tuple(lists)
+    if len(samples) != len(lists) or not lists:
+        raise ValueError(f"need one sample array per list, got {len(samples)} for {len(lists)}")
+    u = lists[0].universe
+    for s, t in zip(samples, lists):
+        if t.universe != u:
+            raise ValueError(f"sample list universe {t.universe} != {u}")
+        if np.shape(s) != (len(t),):
+            raise ValueError(f"got samples of shape {np.shape(s)} for {len(t)} points")
+    mat = np.zeros((len(lists), u.n), dtype=np.complex128)
+    rows = np.concatenate([np.full(len(t), i) for i, t in enumerate(lists)])
+    cols = np.concatenate([t.flats for t in lists])
+    vals = np.concatenate(
+        [np.asarray(s, dtype=np.complex128) * (u.n / len(t)) for s, t in zip(samples, lists)]
+    )
+    np.add.at(mat, (rows, cols), vals)
+    return forward(u, mat)
 
 
 def noise_bound_check(

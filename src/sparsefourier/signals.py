@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dft import Universe, densify, forward, inverse
-from .recovery import RecoveryResult
+from .recovery import RecoveryResult, ceil_log2
 from .sampling import DOMAIN_SIGNAL, stream_rng
 
 __all__ = [
@@ -95,11 +95,6 @@ def gen_signal(spec: SignalSpec) -> tuple:
     return inverse(u, xhat), xhat
 
 
-def _next_pow2(x: float) -> float:
-    mant, exp = math.frexp(x)
-    return float(2.0 ** (exp - 1 if mant == 0.5 else exp))
-
-
 def oracle_top_k(u: Universe, x: np.ndarray, k: int, mu_min_scale: float = 1e-12) -> tuple:
     """Exact top-k reference: (best k-sparse approx, mu, R*).
 
@@ -122,7 +117,7 @@ def oracle_top_k(u: Universe, x: np.ndarray, k: int, mu_min_scale: float = 1e-12
 
     linf = float(np.max(np.abs(xhat)))
     floor = max(mu, mu_min_scale * float(np.linalg.norm(x)))
-    rstar = 2.0 if (linf == 0 or floor == 0) else max(2.0, _next_pow2(linf / floor))
+    rstar = 2.0 if (linf == 0 or floor == 0) else max(2.0, 2.0 ** ceil_log2(linf / floor))
     return approx, mu, rstar
 
 

@@ -29,7 +29,7 @@ from sparsefourier.recovery import (
     fourier_sparse_recovery,
     fourier_sparse_recovery_by_projection,
 )
-from sparsefourier.reduction import ReduceInput, linfinity_reduce
+from sparsefourier.reduction import linfinity_reduce
 from sparsefourier.sampling import (
     AuditedSignal,
     AuditViolation,
@@ -299,7 +299,7 @@ def test_a8_reduce_halves_radius():
             bundle = SampleBundle.draw(u, h=1, r=rr, b=b, entropy=seed)
             sig = AuditedSignal(u, x)
             sig.grant_bundle(bundle)
-            z = linfinity_reduce(ReduceInput(sig, {}, bundle.lists[0], nu)).z
+            z = linfinity_reduce(sig, {}, bundle.lists[0], nu).z
             resid = xhat - densify(u, z)
             hits += float(np.max(np.abs(resid))) <= nu
         batches.append((b, rr, hits, need))

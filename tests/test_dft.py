@@ -131,6 +131,18 @@ def test_p_equals_one_degenerate():
     assert_allclose(inverse(u, x), x)
 
 
+def test_forward_batch_equals_rows():
+    u = Universe(4, 3)
+    rng = np.random.default_rng(5)
+    batch = rng.standard_normal((5, u.n)) + 1j * rng.standard_normal((5, u.n))
+    out = forward(u, batch)
+    assert out.shape == batch.shape
+    for row, x in zip(out, batch):
+        assert np.array_equal(row, forward(u, x))
+    with pytest.raises(ValueError):
+        forward(u, np.zeros((5, u.n + 1)))
+
+
 def test_shape_mismatch_errors():
     u = Universe(4, 2)
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from sparsefourier.recovery import (
     RecoveryConfig,
     ShiftFailure,
     build_schedule,
+    ceil_log2,
     fourier_sparse_recovery,
     fourier_sparse_recovery_by_projection,
     sample_budget,
@@ -67,6 +68,26 @@ def test_config_rejects_bad_values(kwargs):
 
 
 # ------------------------------------------------------------- schedule
+
+
+def test_ceil_log2_is_exact():
+    for m in range(1, 4097):
+        e = 0
+        while 2**e < m:
+            e += 1
+        assert ceil_log2(m) == e
+    for e in range(-30, 61):
+        x = 2.0**e
+        assert ceil_log2(x) == e
+        assert ceil_log2(float(np.nextafter(x, np.inf))) == e + 1
+        assert ceil_log2(float(np.nextafter(x, 0.0))) == e
+        if e >= 2:  # integers beyond float precision stay exact
+            assert ceil_log2(2**e) == e
+            assert ceil_log2(2**e + 1) == e + 1
+            assert ceil_log2(2**e - 1) == e
+    for bad in (0, -1, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ceil_log2(bad)
 
 
 def test_schedule_desk_example():

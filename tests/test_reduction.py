@@ -9,12 +9,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sparsefourier.dft import Universe, densify, inverse, sparse_eval_time
-from sparsefourier.reduction import ReduceInput, linfinity_reduce, reduce_h_rounds
+from sparsefourier.reduction import linfinity_reduce, reduce_h_rounds
 from sparsefourier.sampling import (
     AuditedSignal,
     SampleBundle,
     draw_sample_list,
-    subset_transform_dense,
+    subset_transform_single,
 )
 
 
@@ -48,14 +48,14 @@ def test_zero_residual_yields_empty_z():
     y = {f: complex(xhat[f]) for f in support}
 
     lists = _draw_lists(u, r=5, b=16, seed=1)
-    out = linfinity_reduce(ReduceInput(_audited(u, x, lists), y, lists, nu=0.3))
+    out = linfinity_reduce(_audited(u, x, lists), y, lists, nu=0.3)
     assert out.z == {}
 
 
 def test_zero_signal_yields_empty_z():
     u = Universe(p=4, d=3)
     lists = _draw_lists(u, r=5, b=16, seed=2)
-    out = linfinity_reduce(ReduceInput(_audited(u, np.zeros(u.n), lists), {}, lists, nu=1.0))
+    out = linfinity_reduce(_audited(u, np.zeros(u.n), lists), {}, lists, nu=1.0)
     assert out.z == {}
 
 
@@ -67,7 +67,7 @@ def test_one_sparse_signal_recovered_in_one_round():
     x = _signal_from_spectrum(u, xhat)
 
     lists = _draw_lists(u, r=9, b=64, seed=3)
-    out = linfinity_reduce(ReduceInput(_audited(u, x, lists), {}, lists, nu=0.4))
+    out = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=0.4)
     assert set(out.z) == {f_star}
     assert abs(out.z[f_star] - xhat[f_star]) <= 0.4
 
@@ -81,10 +81,8 @@ def test_thresholding_and_median_support():
     nu = 0.5
 
     lists = _draw_lists(u, r=7, b=32, seed=6)
-    out = linfinity_reduce(
-        ReduceInput(_audited(u, x, lists), {}, lists, nu=nu, keep_medians=True)
-    )
-    assert out.eta is not None and out.eta.shape == (u.n,)
+    out = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=nu)
+    assert out.eta.shape == (u.n,)
     assert len(out.z) > 0
     for f, v in out.z.items():
         assert abs(v) >= nu / 2
@@ -93,20 +91,27 @@ def test_thresholding_and_median_support():
     assert all(f not in out.z for f in below)
 
 
-def test_medians_match_per_list_estimates():
-    # the batched transform must agree with R separate dense estimates,
-    # combined by the lower median of real and imaginary parts
+@pytest.mark.parametrize("time_eval", ["sparse", "dense"])
+def test_medians_match_per_list_estimates(time_eval):
+    # the medians must agree with R separate single-frequency estimates,
+    # combined by the lower median of real and imaginary parts, whether the
+    # test evaluates y at the sample points sparsely or by a dense inverse
     u = Universe(p=4, d=2)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     y = {1: 0.3 + 0.1j, 7: -0.2j}
     lists = _draw_lists(u, r=6, b=10, seed=8)
 
-    out = linfinity_reduce(ReduceInput(_audited(u, x, lists), y, lists, nu=0.1, keep_medians=True))
+    out = linfinity_reduce(_audited(u, x, lists), y, lists, nu=0.1)
+
+    def y_at(t):
+        if time_eval == "sparse":
+            return sparse_eval_time(u, y, t.points)
+        return inverse(u, densify(u, y))[t.flats]
 
     per_list = np.array(
         [
-            subset_transform_dense(x[t.flats] - sparse_eval_time(u, y, t.points), t)
+            [subset_transform_single(x[t.flats] - y_at(t), t, f) for f in range(u.n)]
             for t in lists
         ]
     )
@@ -117,42 +122,21 @@ def test_medians_match_per_list_estimates():
     assert_allclose(out.eta, manual, atol=1e-10)
 
 
-def test_dense_time_eval_matches_sparse_path():
-    u = Universe(p=8, d=2)
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
-    y = {3: 0.5, 11: -0.25 + 0.4j}
-    lists = _draw_lists(u, r=5, b=24, seed=10)
-
-    sparse = linfinity_reduce(
-        ReduceInput(_audited(u, x, lists), y, lists, nu=0.2, keep_medians=True)
-    )
-    dense = linfinity_reduce(
-        ReduceInput(
-            _audited(u, x, lists), y, lists, nu=0.2, keep_medians=True, dense_time_eval=True
-        )
-    )
-    assert set(sparse.z) == set(dense.z)
-    for f in sparse.z:
-        assert abs(sparse.z[f] - dense.z[f]) < 1e-10
-    assert_allclose(sparse.eta, dense.eta, atol=1e-10)
-
-
 def test_rejects_empty_lists_and_mismatched_universe():
     u = Universe(p=4, d=1)
     sig = AuditedSignal(u, np.zeros(4))
     with pytest.raises(ValueError):
-        linfinity_reduce(ReduceInput(sig, {}, (), nu=0.5))
+        linfinity_reduce(sig, {}, (), nu=0.5)
     other = _draw_lists(Universe(p=4, d=2), r=2, b=4, seed=0)
     with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(ReduceInput(sig, {}, other, nu=0.5))
+        linfinity_reduce(sig, {}, other, nu=0.5)
 
 
 def test_rejects_nonpositive_nu():
     u = Universe(p=4, d=1)
     lists = _draw_lists(u, r=2, b=4, seed=0)
     with pytest.raises(ValueError):
-        linfinity_reduce(ReduceInput(_audited(u, np.zeros(4), lists), {}, lists, nu=0.0))
+        linfinity_reduce(_audited(u, np.zeros(4), lists), {}, lists, nu=0.0)
 
 
 def test_determinism():
@@ -160,8 +144,8 @@ def test_determinism():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     lists = _draw_lists(u, r=5, b=20, seed=13)
-    a = linfinity_reduce(ReduceInput(_audited(u, x, lists), {}, lists, nu=0.6))
-    b = linfinity_reduce(ReduceInput(_audited(u, x, lists), {}, lists, nu=0.6))
+    a = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=0.6)
+    b = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=0.6)
     assert a.z == b.z
 
 
@@ -180,7 +164,7 @@ def test_single_round_equals_direct_call():
     z_rounds = reduce_h_rounds(sig1, {}, bundle, nu=0.8, h=1)
 
     sig2 = _audited(u, x, lists)
-    direct = linfinity_reduce(ReduceInput(sig2, {}, lists, nu=0.8))
+    direct = linfinity_reduce(sig2, {}, lists, nu=0.8)
     assert z_rounds == direct.z
 
 
@@ -211,9 +195,7 @@ def test_noiseless_two_sparse_residual_walks_down():
 
     z: dict = {}
     for i in range(1, h_rounds + 1):
-        out = linfinity_reduce(
-            ReduceInput(sig, dict(z), bundle.lists[i - 1], nu=nu * 2.0 ** (1 - i))
-        )
+        out = linfinity_reduce(sig, dict(z), bundle.lists[i - 1], nu=nu * 2.0 ** (1 - i))
         for f, v in out.z.items():
             z[f] = z.get(f, 0) + v
         assert _residual_linf(u, xhat, z) <= 2.0 ** (1 - i) * nu + 1e-12

@@ -177,27 +177,34 @@ def test_subset_estimator_rejects_length_mismatch():
     with pytest.raises(ValueError):
         subset_transform_single(np.zeros(4), t, 1)
     with pytest.raises(ValueError):
-        subset_transform_dense(np.zeros(6), t)
+        subset_transform_dense([np.zeros(6)], [t])
+    with pytest.raises(ValueError):
+        subset_transform_dense([np.zeros(5), np.zeros(4)], [t, t])
 
 
 def test_dense_matches_single_everywhere():
+    # lists of different lengths (with duplicates) check each row's n/|T_r|
     u = Universe(p=4, d=2)
     rng = np.random.default_rng(31)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
-    pts = rng.integers(0, 4, size=(9, 2), dtype=np.int64)
-    pts[5] = pts[1]
-    t = SampleList(u, pts)
-    samples = x[t.flats]
-    dense = subset_transform_dense(samples, t)
-    singles = np.array([subset_transform_single(samples, t, f) for f in range(u.n)])
-    assert_allclose(dense, singles, atol=1e-10)
+    lists = []
+    for size in (9, 5, 13):
+        pts = rng.integers(0, 4, size=(size, 2), dtype=np.int64)
+        pts[size - 1] = pts[1]
+        lists.append(SampleList(u, pts))
+    samples = [x[t.flats] for t in lists]
+    dense = subset_transform_dense(samples, lists)
+    assert dense.shape == (3, u.n)
+    for row, vals, t in zip(dense, samples, lists):
+        singles = np.array([subset_transform_single(vals, t, f) for f in range(u.n)])
+        assert_allclose(row, singles, atol=1e-10)
 
 
 def test_zero_samples_give_zero_estimate():
     u = Universe(p=5, d=2)
     t = draw_sample_list(u, 12, np.random.default_rng(2))
     assert subset_transform_single(np.zeros(12), t, 7) == 0
-    assert_allclose(subset_transform_dense(np.zeros(12), t), 0)
+    assert_allclose(subset_transform_dense([np.zeros(12)], [t]), 0)
 
 
 # ----------------------------------------------------------- sample bundle
