@@ -10,13 +10,9 @@ tail bound that the reduction step relies on.
 
 import numpy as np
 
+from sparsefourier.checks import noise_bound_check
 from sparsefourier.dft import Universe, forward, inverse
-from sparsefourier.sampling import (
-    coefficient,
-    draw_sample_list,
-    noise_bound_check,
-    subset_transform_single,
-)
+from sparsefourier.sampling import coefficient, draw_sample_list, subset_transform_single
 
 rng = np.random.default_rng(23)
 u = Universe(p=16, d=2)

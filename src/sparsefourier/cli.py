@@ -1,9 +1,9 @@
 """Command-line interface: recover, bench, and verify subcommands.
 
 recover runs one seeded trial, bench a seeded batch; both print a JSON or
-CSV report. verify reruns the statistical facts the algorithm leans on
+CSV report. verify runs the seeded Monte Carlo checks of the checks module
 (measurement-coefficient moments, the estimator tail bound, the shifted-box
-acceptance rate) as seeded Monte Carlo checks.
+acceptance rate) and prints one PASS/FAIL line per check.
 
 Exit codes: 0 success, 2 configuration error, 3 sample-audit violation,
 4 a verify check missed its threshold; other failures return 1.
@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
-import numpy as np
-
-from .dft import Universe, unflat_index
-from .grids import Box, GoodShiftError, GridSpec, box_projects_uniquely
+from .checks import CHECKS
+from .grids import GoodShiftError
 from .recovery import DESK_PROFILE, PAPER_PROFILE, RecoveryConfig, ShiftFailure
 from .runner import emit_report, run_experiment
-from .sampling import AuditViolation, noise_bound_check
+from .sampling import AuditViolation
 from .signals import SignalSpec
 
 __all__ = ["main"]
@@ -103,79 +100,9 @@ def _run_report(args, trials: int, seeds=None) -> int:
     return 0
 
 
-# ------------------------------------------------------ verify subcommand
-
-
-def _check_coefficient_moments(seed: int):
-    """E|c_f|^2 = 1/B and decorrelation across frequencies, within 3 SE."""
-    u = Universe(p=16, d=2)
-    b, draws = 64, 10_000
-    rng = np.random.default_rng(seed)
-    flats = rng.integers(0, u.n, size=(draws, b))
-    coords = unflat_index(u, np.arange(u.n))
-
-    freqs = [1, 7, 16, 100, 255]
-    cs = []
-    for f in freqs:
-        fv = unflat_index(u, f)
-        phase = (coords[flats.reshape(-1)] @ fv).reshape(draws, b) % u.p
-        cs.append(np.exp(2j * np.pi * phase / u.p).mean(axis=1))
-
-    pairs = []
-    for c in cs:
-        sq = np.abs(c) ** 2
-        se = sq.std() / math.sqrt(draws)
-        pairs.append((abs(sq.mean() - 1 / b), 3 * se))
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            cross = cs[i] * np.conj(cs[j])
-            se = math.sqrt(cross.real.var() + cross.imag.var()) / math.sqrt(draws)
-            pairs.append((abs(cross.mean()), 3 * se))
-    worst_gap, worst_limit = max(pairs, key=lambda gl: gl[0] - gl[1])
-    return worst_gap <= worst_limit, f"worst gap {worst_gap:.2e} vs 3*SE {worst_limit:.2e}"
-
-
-def _check_noise_bound(seed: int):
-    """Estimator leakage exceeds its tail bound in at most 2% of draws."""
-    u = Universe(p=8, d=2)
-    rng = np.random.default_rng(seed)
-    support = [1, 9, 20, 33, 41, 50, 57, 63]
-    xhat = np.zeros(u.n, dtype=np.complex128)
-    xhat[support] = np.exp(2j * np.pi * rng.random(len(support)))
-    rate = noise_bound_check(u, xhat, f=5, v_set=support, b=32, trials=10_000, rng=rng)
-    return rate <= 0.02, f"exceedance rate {rate:.4f} vs limit 0.02"
-
-
-def _check_shift_acceptance(seed: int):
-    """Shifted worst-case box rounds uniquely at rate >= (1-r_b/r_s)^2."""
-    rng = np.random.default_rng(seed)
-    grid = GridSpec(1.0)
-    center = 0.5 + 0.5j  # on a decision cross: the extremal center
-    details = []
-    ok = True
-    for ratio in (0.5, 0.1, 0.01):
-        r_s, r_b, draws = 0.5, 0.5 * ratio, 10_000
-        shifts = rng.uniform(-r_s, r_s, size=(draws, 2))
-        hits = sum(
-            box_projects_uniquely(Box(center + complex(sr, si), r_b), grid)
-            for sr, si in shifts
-        )
-        bound = (1 - ratio) ** 2
-        sigma = math.sqrt(bound * (1 - bound) / draws)
-        rate = hits / draws
-        ok = ok and rate >= bound - 3 * sigma
-        details.append(f"ratio {ratio}: rate {rate:.4f} >= {bound - 3 * sigma:.4f}")
-    return ok, "; ".join(details)
-
-
 def _run_verify(seed: int) -> int:
-    checks = [
-        ("coefficient-moments", _check_coefficient_moments),
-        ("estimator-tail-bound", _check_noise_bound),
-        ("shift-acceptance", _check_shift_acceptance),
-    ]
     failed = False
-    for name, fn in checks:
+    for name, fn in CHECKS.items():
         ok, detail = fn(seed)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed = failed or not ok

@@ -11,13 +11,11 @@ one draw is at least (1 - r_b/r_s)^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Box",
     "GridSpec",
     "ShiftParams",
     "GoodShiftError",
@@ -25,18 +23,6 @@ __all__ = [
     "box_projects_uniquely",
     "draw_good_shift",
 ]
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned square |Re z - Re center| <= radius, same for Im."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"box radius must be nonnegative, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -97,26 +83,31 @@ def project(c, grid: GridSpec):
     return out
 
 
-def _interval_crosses_boundary(lo: float, hi: float, side: float) -> bool:
-    # smallest decision line (m + 1/2) * side at or above lo, compared in
+def _crosses_line(v, r, side: float):
+    # smallest decision line (m + 1/2) * side at or above v - r, compared in
     # units of the side so no products with large m are formed
-    m = math.ceil(lo / side - 0.5)
-    return m + 0.5 <= hi / side
+    return np.ceil((v - r) / side - 0.5) + 0.5 <= (v + r) / side
 
 
-def box_projects_uniquely(box: Box, grid: GridSpec) -> bool:
-    """True iff every point of the box projects to the same grid point.
+def box_projects_uniquely(center, radius, grid: GridSpec):
+    """True iff every point of the square box B(center, radius) projects to one grid point.
 
-    Equivalent O(1) test: neither the Re nor the Im interval of the box
+    center is a complex scalar or array and radius broadcasts against it;
+    the result is a bool or a bool array of the same shape. Equivalent O(1)
+    test per box: neither the Re nor the Im interval [c - r, c + r]
     contains a half-cell decision line (m + 1/2) * side. An endpoint lying
     exactly on a line counts as crossing, so the predicate is robust to
-    the tie-break direction.
+    the tie-break direction. A non-finite center or negative radius raises
+    ValueError.
     """
-    c, r = box.center, box.radius
-    return not (
-        _interval_crosses_boundary(c.real - r, c.real + r, grid.side)
-        or _interval_crosses_boundary(c.imag - r, c.imag + r, grid.side)
-    )
+    r = np.asarray(radius, dtype=np.float64)
+    if not np.all(r >= 0):
+        raise ValueError(f"box radius must be nonnegative, got {radius}")
+    c = np.asarray(center, dtype=np.complex128)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("box centers must be finite")
+    unique = ~(_crosses_line(c.real, r, grid.side) | _crosses_line(c.imag, r, grid.side))
+    return unique if unique.ndim else bool(unique)
 
 
 class GoodShiftError(RuntimeError):
@@ -142,15 +133,15 @@ def draw_good_shift(
 
     Draws s uniform in the square of half-side r_s (two independent
     uniforms) until box_projects_uniquely holds for B(c + s, r_b) at every
-    center. Returns (shift, attempts). Callers size max_attempts as
-    10 * log2(n); with that budget a failure is overwhelmingly a parameter
-    problem, not bad luck.
+    center, testing all centers in one array call per attempt. Returns
+    (shift, attempts). Callers size max_attempts as 10 * log2(n); with that
+    budget a failure is overwhelmingly a parameter problem, not bad luck.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    centers = list(centers)
+    centers = np.fromiter(centers, dtype=np.complex128)
     grid = GridSpec(params.r_g)
-    if centers and 2 * params.r_b >= params.r_g:
+    if centers.size and 2 * params.r_b >= params.r_g:
         raise GoodShiftError(
             f"boxes of radius r_b={params.r_b} span a full cell of side r_g={params.r_g};"
             " no shift can make them round uniquely",
@@ -159,7 +150,7 @@ def draw_good_shift(
         )
     for attempt in range(1, max_attempts + 1):
         s = complex(rng.uniform(-params.r_s, params.r_s), rng.uniform(-params.r_s, params.r_s))
-        if all(box_projects_uniquely(Box(c + s, params.r_b), grid) for c in centers):
+        if box_projects_uniquely(centers + s, params.r_b, grid).all():
             return s, attempt
     raise GoodShiftError(
         f"no good shift in {max_attempts} attempts for {len(centers)} boxes"

@@ -289,12 +289,9 @@ def _drive(
             except GoodShiftError as exc:
                 raise ShiftFailure(ell, exc.attempts, exc.misconfigured) from exc
 
-        grid = GridSpec(grid_scale * nu)
-        y = {}
-        for f, v in w.items():
-            snapped = project(v + shift, grid)
-            if snapped != 0:
-                y[f] = snapped
+        values = np.fromiter(w.values(), np.complex128, len(w))
+        snapped = project(values + shift, GridSpec(grid_scale * nu))
+        y = {f: complex(v) for f, v in zip(w, snapped) if v != 0}
         diags.append(IterationDiag(nu, shift, attempts, len(w), len(y)))
 
     return RecoveryResult(

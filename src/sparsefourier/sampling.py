@@ -12,7 +12,7 @@ decomposes exactly as sum_{f'} c^[T]_{f-f'} * xhat_{f'} where
 is the measurement coefficient: c_0 = 1 always, and for f != 0 the
 coefficient is a mean of B random unit phasors, so E|c_f|^2 = 1/B and
 distinct coefficients are uncorrelated. Those three moments are what every
-downstream error bound rests on, and the test suite checks them by Monte
+downstream error bound rests on; the checks module measures them by Monte
 Carlo.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft import Universe, flat_index, forward
+from .dft import Universe, flat_index, forward, unflat_index
 
 __all__ = [
     "SampleList",
@@ -34,7 +34,6 @@ __all__ = [
     "coefficient",
     "subset_transform_single",
     "subset_transform_dense",
-    "noise_bound_check",
 ]
 
 
@@ -137,6 +136,9 @@ class AuditedSignal:
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != (u.n,):
             raise ValueError(f"expected flat array of length {u.n}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            bad = np.flatnonzero(~np.isfinite(values))[:8].tolist()
+            raise ValueError(f"samples must be finite, got NaN/inf at flat indices {bad}")
         self.universe = u
         self._values = values.copy()
         self._allowed = np.zeros(u.n, dtype=bool)
@@ -183,8 +185,6 @@ class AuditedSignal:
 
 def _as_coords(u: Universe, f) -> np.ndarray:
     if np.isscalar(f):
-        from .dft import unflat_index
-
         return unflat_index(u, int(f))
     fv = np.asarray(f, dtype=np.int64)
     if fv.shape != (u.d,):
@@ -244,46 +244,3 @@ def subset_transform_dense(samples, lists) -> np.ndarray:
     )
     np.add.at(mat, (rows, cols), vals)
     return forward(u, mat)
-
-
-def noise_bound_check(
-    u: Universe,
-    xhat: np.ndarray,
-    f,
-    v_set,
-    b: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical exceedance rate of the estimator's leakage tail bound.
-
-    Over `trials` fresh sample lists of size `b`, measures how often
-
-        | sum_{f' in V} c_{f-f'} xhat_{f'} |  >  (10/sqrt(B)) * ||xhat_V||_2
-
-    The second-moment bound puts the true rate at most 1/100.
-    """
-    f_flat = int(flat_index(u, _as_coords(u, f)))
-    v_idx = np.asarray(list(v_set), dtype=np.int64)
-    if f_flat in set(v_idx.tolist()):
-        raise ValueError("f must not belong to V")
-    if trials < 1 or b < 1:
-        raise ValueError("need trials >= 1 and b >= 1")
-    if len(v_idx) == 0:
-        return 0.0
-
-    mask = np.zeros(u.n, dtype=np.complex128)
-    mask[v_idx] = np.asarray(xhat)[v_idx]
-    threshold = 10.0 / np.sqrt(b) * np.linalg.norm(mask)
-
-    # g_t = sum_{f' in V} xhat_{f'} omega^(-f'.t), dense via one inverse;
-    # phase_f[t] = omega^(f.t); then each trial is a B-point average.
-    from .dft import inverse, unflat_index
-
-    g = inverse(u, mask) * np.sqrt(u.n)
-    tcoords = unflat_index(u, np.arange(u.n))
-    phase_f = np.exp(2j * np.pi * ((tcoords @ _as_coords(u, f)) % u.p) / u.p)
-
-    idx = rng.integers(0, u.n, size=(trials, b))
-    sums = (phase_f[idx] * g[idx]).mean(axis=1)
-    return float(np.mean(np.abs(sums) > threshold))

@@ -55,8 +55,8 @@ class SignalSpec:
         u = self.universe  # validates p, d
         if not (1 <= self.k <= u.n):
             raise ValueError(f"need 1 <= k <= {u.n}, got k={self.k}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.magnitude_model not in ("equal", "geometric", "explicit"):
             raise ValueError(f"unknown magnitude model {self.magnitude_model!r}")
         if self.magnitude_model == "explicit":

@@ -5,7 +5,8 @@ them) of the form ``A<i> PASS|FAIL <name>: <measured values>`` and then
 asserts the same condition, so a red test and a FAIL line always agree.
 The expensive recovery batches (A5, A6) run once in module-scoped
 fixtures and are shared by the audit (A7) and shift-statistics (A10)
-checks.
+checks. A2-A4 run the Monte Carlo checks of ``sparsefourier.checks`` that
+``sfft verify`` runs, at fixed seeds.
 """
 
 import math
@@ -15,14 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import direct_dft
-from sparsefourier.dft import (
-    Universe,
-    densify,
-    forward,
-    inverse,
-    unflat_index,
-)
-from sparsefourier.grids import Box, GridSpec, box_projects_uniquely
+from sparsefourier import checks
+from sparsefourier.dft import Universe, densify, forward, inverse
 from sparsefourier.recovery import (
     DESK_PROFILE,
     ShiftFailure,
@@ -30,12 +25,7 @@ from sparsefourier.recovery import (
     fourier_sparse_recovery_by_projection,
 )
 from sparsefourier.reduction import linfinity_reduce
-from sparsefourier.sampling import (
-    AuditedSignal,
-    AuditViolation,
-    SampleBundle,
-    noise_bound_check,
-)
+from sparsefourier.sampling import AuditedSignal, AuditViolation, SampleBundle
 from sparsefourier.signals import SignalSpec, gen_signal, noise_floor_value, oracle_top_k
 
 U4096 = Universe(p=16, d=3)
@@ -143,85 +133,25 @@ def test_a1_transform_round_trip_and_direct_sum():
     )
 
 
-def test_a2_coefficient_moments():
-    u = Universe(p=16, d=2)
-    b, draws = 64, 10**4
-    freqs = [1, 7, 16, 100, 255]
-    rng = np.random.default_rng(21)
+def _timed_check(name: str, check, seed: int, limit: float) -> bool:
     start = time.perf_counter()
-
-    points = rng.integers(0, u.p, size=(draws, b, u.d))
-    c0 = np.exp(2j * np.pi * ((points @ np.zeros(u.d, dtype=np.int64)) % u.p) / u.p)
-    c0_err = float(np.max(np.abs(c0.mean(axis=1) - 1.0)))
-
-    worst = None
-    for f in freqs:
-        fv = unflat_index(u, f)
-        phases = np.exp(2j * np.pi * ((points @ fv) % u.p) / u.p)
-        sq = np.abs(phases.mean(axis=1)) ** 2
-        gap = abs(float(sq.mean()) - 1.0 / b)
-        limit = 3.0 * float(sq.std()) / math.sqrt(draws)
-        if worst is None or gap - limit > worst[0] - worst[1]:
-            worst = (gap, limit, f)
+    ok, detail = check(seed)
     elapsed = time.perf_counter() - start
-
-    ok = c0_err <= 1e-12 and worst[0] <= worst[1] and elapsed < 10.0
-    assert _verdict(
-        "A2",
-        ok,
-        f"|c_0 - 1| {c0_err:.1e} (tol 1e-12); worst second-moment gap {worst[0]:.2e}"
-        f" vs 3*SE {worst[1]:.2e} at f={worst[2]}, B={b}, {draws} draws"
-        f" in {elapsed:.1f}s (limit 10s)",
+    return _verdict(
+        name, ok and elapsed < limit, f"{detail}; seed {seed} in {elapsed:.1f}s (limit {limit:g}s)"
     )
+
+
+def test_a2_coefficient_moments():
+    assert _timed_check("A2", checks.coefficient_moments, 21, 10.0)
 
 
 def test_a3_estimator_tail_bound():
-    u = Universe(p=8, d=2)
-    spec = SignalSpec(p=8, d=2, k=8, seed=31)
-    _, xhat = gen_signal(spec)
-    support = set(int(f) for f in np.flatnonzero(xhat))
-    f = next(i for i in range(u.n) if i not in support)
-
-    start = time.perf_counter()
-    rate = noise_bound_check(u, xhat, f, support, b=32, trials=10**4, rng=np.random.default_rng(32))
-    elapsed = time.perf_counter() - start
-
-    ok = rate <= 0.02 and elapsed < 10.0
-    assert _verdict(
-        "A3",
-        ok,
-        f"exceedance rate {rate:.4f} <= 0.02 over 10^4 trials"
-        f" (n={u.n}, B=32) in {elapsed:.1f}s (limit 10s)",
-    )
+    assert _timed_check("A3", checks.estimator_tail_bound, 31, 10.0)
 
 
 def test_a4_shift_acceptance_rate():
-    r_s = 1.0
-    grid = GridSpec(side=2.0 * r_s)
-    center = complex(0.5 * grid.side, 0.5 * grid.side)  # on a rounding boundary cross
-    draws = 10**4
-    rng = np.random.default_rng(41)
-
-    start = time.perf_counter()
-    results = []
-    for ratio in (0.5, 0.1, 0.01):
-        r_b = ratio * r_s
-        hits = sum(
-            box_projects_uniquely(
-                Box(center + complex(rng.uniform(-r_s, r_s), rng.uniform(-r_s, r_s)), r_b),
-                grid,
-            )
-            for _ in range(draws)
-        )
-        rate = hits / draws
-        p0 = (1.0 - ratio) ** 2
-        bound = p0 - 3.0 * math.sqrt(p0 * (1.0 - p0) / draws)
-        results.append((ratio, rate, bound))
-    elapsed = time.perf_counter() - start
-
-    ok = all(rate >= bound for _, rate, bound in results) and elapsed < 5.0
-    detail = ", ".join(f"ratio {r}: {rate:.4f} >= {bound:.4f}" for r, rate, bound in results)
-    assert _verdict("A4", ok, f"{detail}; 10^4 shifts each in {elapsed:.1f}s (limit 5s)")
+    assert _timed_check("A4", checks.shift_acceptance, 41, 5.0)
 
 
 def test_a5_noisy_recovery_guarantee(a5_batch):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sparsefourier.checks import CHECKS
 from sparsefourier.cli import main
 from sparsefourier.sampling import AuditViolation
 
@@ -72,6 +73,8 @@ def test_invalid_constant_combination_is_config_error(capsys):
 
 def test_invalid_signal_is_config_error(capsys):
     assert main(["recover", "--p", "4", "--d", "1", "--k", "9"]) == 2
+    assert main(["recover", *NOISELESS, "--sigma", "inf"]) == 2
+    assert "sigma must be finite" in capsys.readouterr().err
 
 
 def test_unknown_choice_exits_via_argparse():
@@ -97,8 +100,6 @@ def test_verify_passes(capsys):
 
 
 def test_verify_threshold_failure_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(
-        "sparsefourier.cli._check_noise_bound", lambda seed: (False, "forced miss")
-    )
+    monkeypatch.setitem(CHECKS, "estimator-tail-bound", lambda seed: (False, "forced miss"))
     assert main(["verify"]) == 4
     assert "FAIL estimator-tail-bound" in capsys.readouterr().out

@@ -1,9 +1,10 @@
 """Tests for grid projection, the unique-rounding predicate, and shifts.
 
-The predicate gets the heavy treatment: 10^4 random boxes against a
-brute-force oracle that enumerates decision lines directly, plus the
-geometric consequence (all points of a uniquely rounding box project to
-one lattice point).
+The predicate gets the heavy treatment: 10^4 random boxes plus boxes
+touching decision lines, evaluated in one array call and compared against
+a brute-force oracle that enumerates decision lines directly and against
+scalar calls, plus the geometric consequence (all points of a uniquely
+rounding box project to one lattice point).
 """
 
 import math
@@ -13,7 +14,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sparsefourier.grids import (
-    Box,
     GoodShiftError,
     GridSpec,
     ShiftParams,
@@ -30,7 +30,20 @@ UNIT = GridSpec(1.0)
 
 def test_box_rejects_negative_radius():
     with pytest.raises(ValueError):
-        Box(0j, -0.1)
+        box_projects_uniquely(0j, -0.1, UNIT)
+    with pytest.raises(ValueError):
+        box_projects_uniquely(np.zeros(3, dtype=complex), np.array([0.1, -0.1, 0.1]), UNIT)
+
+
+@pytest.mark.parametrize(
+    "center",
+    [complex(np.nan, 0.2), complex(0.2, np.inf), np.array([0.1 + 0.1j, complex(-np.inf, 0)])],
+    ids=["nan", "inf", "array"],
+)
+def test_box_rejects_non_finite_center(center):
+    # a non-finite center has no projection; it must not read as "unique"
+    with pytest.raises(ValueError, match="finite"):
+        box_projects_uniquely(center, 0.1, UNIT)
 
 
 def test_grid_rejects_nonpositive_side():
@@ -121,26 +134,27 @@ def test_project_array_shape():
 
 
 def test_box_inside_cell_is_unique():
-    assert box_projects_uniquely(Box(0.1 + 0.2j, 0.2), UNIT)
+    assert box_projects_uniquely(0.1 + 0.2j, 0.2, UNIT) is True
 
 
 def test_box_straddling_line_is_not_unique():
-    assert not box_projects_uniquely(Box(0.5 + 0j, 0.1), UNIT)
-    assert not box_projects_uniquely(Box(0.2 + 1.5j, 0.1), UNIT)
+    assert not box_projects_uniquely(0.5 + 0j, 0.1, UNIT)
+    assert not box_projects_uniquely(0.2 + 1.5j, 0.1, UNIT)
 
 
 def test_box_touching_line_is_not_unique():
     # Re interval ends exactly on the 0.5 decision line
-    assert not box_projects_uniquely(Box(0.4 + 0j, 0.1), UNIT)
+    assert not box_projects_uniquely(0.4 + 0j, 0.1, UNIT)
 
 
 def test_point_box():
-    assert box_projects_uniquely(Box(0.2 + 0.2j, 0.0), UNIT)
-    assert not box_projects_uniquely(Box(0.5 + 0.2j, 0.0), UNIT)
+    assert box_projects_uniquely(0.2 + 0.2j, 0.0, UNIT)
+    assert not box_projects_uniquely(0.5 + 0.2j, 0.0, UNIT)
 
 
 def test_large_box_never_unique():
-    assert not box_projects_uniquely(Box(0.123 + 0.456j, 0.5), UNIT)
+    assert not box_projects_uniquely(0.123 + 0.456j, 0.5, UNIT)
+
 
 
 def _crosses_by_enumeration(lo, hi, side):
@@ -150,18 +164,33 @@ def _crosses_by_enumeration(lo, hi, side):
     return any(lo <= (m + 0.5) * side <= hi for m in range(m_min, m_max + 1))
 
 
+def _assert_matches_oracle(c, r, g):
+    got = box_projects_uniquely(c, r, g)
+    assert got.shape == c.shape
+    for ci, ri, gi in zip(c, r, got):
+        oracle = not (
+            _crosses_by_enumeration(ci.real - ri, ci.real + ri, g.side)
+            or _crosses_by_enumeration(ci.imag - ri, ci.imag + ri, g.side)
+        )
+        assert gi == oracle == box_projects_uniquely(ci, ri, g)
+    return got
+
+
 def test_predicate_matches_enumeration_oracle():
     rng = np.random.default_rng(42)
-    g = GridSpec(0.7)
-    for _ in range(10_000):
-        c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        r = rng.uniform(0, 0.56)
-        box = Box(c, r)
-        oracle = not (
-            _crosses_by_enumeration(c.real - r, c.real + r, g.side)
-            or _crosses_by_enumeration(c.imag - r, c.imag + r, g.side)
-        )
-        assert box_projects_uniquely(box, g) == oracle
+    n = 10_000
+    c = rng.uniform(-3, 3, size=n) + 1j * rng.uniform(-3, 3, size=n)
+    _assert_matches_oracle(c, rng.uniform(0, 0.56, size=n), GridSpec(0.7))
+
+    # boxes with a Re or Im edge exactly on a decision line (m + 1/2) * side;
+    # the side and radii are dyadic so every edge is computed without rounding
+    g = GridSpec(0.625)
+    m = rng.integers(-4, 4, size=200)
+    r = rng.integers(0, 20, size=200) / 64
+    edge = (m + 0.5) * g.side + rng.choice([-1.0, 1.0], size=200) * r
+    free = rng.uniform(-3, 3, size=200)
+    c = np.concatenate([edge + 1j * free, free + 1j * edge])
+    assert not _assert_matches_oracle(c, np.concatenate([r, r]), g).any()
 
 
 def test_unique_box_points_share_projection():
@@ -173,7 +202,7 @@ def test_unique_box_points_share_projection():
     while found < 50:
         c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         r = rng.uniform(0, 0.19)
-        if not box_projects_uniquely(Box(c, r), g):
+        if not box_projects_uniquely(c, r, g):
             continue
         found += 1
         target = project(c, g)
@@ -206,7 +235,7 @@ def test_accepted_shift_actually_works():
     centers = [0.5 + 0.5j, -0.5 + 0j, 0.27 - 1.5j]
     s, _ = draw_good_shift(centers, params, np.random.default_rng(11), max_attempts=200)
     g = GridSpec(1.0)
-    assert all(box_projects_uniquely(Box(c + s, 0.05), g) for c in centers)
+    assert box_projects_uniquely(np.array(centers) + s, 0.05, g).all()
 
 
 def test_single_box_acceptance_rate():
@@ -215,15 +244,12 @@ def test_single_box_acceptance_rate():
     ratio = 0.1
     params = ShiftParams(r_s=0.5, r_b=0.5 * ratio, r_g=1.0)
     g = GridSpec(1.0)
-    rng = np.random.default_rng(23)
     trials = 2000
-    hits = 0
-    for _ in range(trials):
-        s = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        hits += box_projects_uniquely(Box((0.5 + 0.5j) + s, params.r_b), g)
+    s = np.random.default_rng(23).uniform(-0.5, 0.5, size=(trials, 2))
+    rate = box_projects_uniquely((0.5 + 0.5j) + (s[:, 0] + 1j * s[:, 1]), params.r_b, g).mean()
     bound = (1 - ratio) ** 2
     sigma = math.sqrt(bound * (1 - bound) / trials)
-    assert hits / trials >= bound - 3 * sigma
+    assert rate >= bound - 3 * sigma
 
 
 def test_many_tiny_boxes_accept_quickly():
@@ -255,6 +281,15 @@ def test_adversarial_centers_exhaust_attempts():
         draw_good_shift([0j, 0.5 + 0j], params, np.random.default_rng(1), max_attempts=40)
     assert not exc.value.misconfigured
     assert exc.value.attempts == 40
+
+
+def test_draw_good_shift_pinned():
+    # regression value of the per-box loop this array predicate replaced;
+    # the RNG stream (two uniforms per attempt) must not change
+    params = ShiftParams(r_s=0.5, r_b=0.1, r_g=1.0)
+    centers = [0.5 + 0.5j, 0.1 - 0.2j, 0.45 + 0j]
+    got = draw_good_shift(centers, params, np.random.default_rng(0), max_attempts=50)
+    assert got == (0.17062441469363032 + 0.1471895115742501j, 12)
 
 
 def test_max_attempts_validated():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sparsefourier.checks import noise_bound_check
 from sparsefourier.dft import Universe, forward, unflat_index
 from sparsefourier.sampling import (
     AuditedSignal,
@@ -17,7 +18,6 @@ from sparsefourier.sampling import (
     SampleList,
     coefficient,
     draw_sample_list,
-    noise_bound_check,
     stream_rng,
     subset_transform_dense,
     subset_transform_single,
@@ -250,6 +250,18 @@ def test_audited_signal_serves_granted_reads():
     assert sig.granted_distinct == 3
     assert sig.distinct_reads == 3
     assert sig.all_granted_read()
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(1.0, -np.inf)], ids=["nan", "inf", "imag-inf"]
+)
+def test_audited_signal_rejects_non_finite_samples(bad):
+    # one bad sample would otherwise flow through every estimate into y
+    u = Universe(p=8, d=2)
+    x = np.ones(u.n, dtype=np.complex128)
+    x[17] = bad
+    with pytest.raises(ValueError, match=r"finite.*indices \[17\]"):
+        AuditedSignal(u, x)
 
 
 def test_audited_signal_rejects_read_before_grant():

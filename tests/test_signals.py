@@ -119,6 +119,8 @@ def test_magnitude_models():
         {"magnitude_model": "explicit"},  # missing magnitudes
         {"magnitude_model": "geometric", "geometric_ratio": 0.0},
         {"amplitude": 0.0},
+        {"sigma": float("inf")},
+        {"sigma": float("nan")},
     ],
 )
 def test_spec_validation(kwargs):
