@@ -17,14 +17,12 @@ import sys
 
 from .checks import CHECKS
 from .grids import GoodShiftError
-from .recovery import DESK_PROFILE, PAPER_PROFILE, RecoveryConfig, ShiftFailure
+from .recovery import DESK_PROFILE, RecoveryConfig, ShiftFailure
 from .runner import emit_report, run_experiment
 from .sampling import AuditViolation
 from .signals import SignalSpec
 
 __all__ = ["main"]
-
-_PROFILES = {"paper": PAPER_PROFILE, "desk": DESK_PROFILE}
 
 
 def _add_signal_args(sub):
@@ -33,7 +31,6 @@ def _add_signal_args(sub):
     sub.add_argument("--k", type=int, required=True, help="sparsity")
     sub.add_argument("--sigma", type=float, default=0.0, help="frequency-domain noise level")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--profile", choices=sorted(_PROFILES), default="desk")
     sub.add_argument("--algo", choices=("main", "warmup"), default="main")
     sub.add_argument(
         "--set",
@@ -41,7 +38,7 @@ def _add_signal_args(sub):
         default=[],
         metavar="NAME=VALUE",
         dest="overrides",
-        help="override a constant (e.g. --set C_B=64); repeatable",
+        help="override a constant of the desk profile (e.g. --set C_B=64); repeatable",
     )
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -81,15 +78,9 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _resolve_config(args) -> RecoveryConfig:
-    base = _PROFILES[args.profile]
-    overrides = _parse_overrides(args.overrides)
-    return dataclasses.replace(base, **overrides) if overrides else base
-
-
 def _run_report(args, trials: int, seeds=None) -> int:
     spec = SignalSpec(p=args.p, d=args.d, k=args.k, sigma=args.sigma, seed=args.seed)
-    config = _resolve_config(args)
+    config = dataclasses.replace(DESK_PROFILE, **_parse_overrides(args.overrides))
     report = run_experiment(spec, config, trials, algorithm=args.algo, seeds=seeds)
     text = emit_report(report, args.format, args.out)
     if args.out:

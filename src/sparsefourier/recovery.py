@@ -18,13 +18,15 @@ uses a fixed small H; it is only meant for k = O(log n).
 
 All sample positions are drawn up front as one SampleBundle and declared
 to the audited signal, so a completed run has read exactly B*R*H points.
+A run whose bundle and estimate matrix would not fit in physical memory
+is refused before anything is drawn.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -42,10 +44,18 @@ __all__ = [
     "ShiftFailure",
     "build_schedule",
     "ceil_log2",
-    "sample_budget",
     "fourier_sparse_recovery",
     "fourier_sparse_recovery_by_projection",
 ]
+
+
+# occupied coefficients per unit of k that build_schedule's H floor allows for
+C_S = 26
+# shift draws allowed per rung, per bit of log2 n
+MAX_SHIFT_ATTEMPTS_FACTOR = 10
+# the projection-only variant's rounds per rung and lattice side / nu
+WARMUP_H = 5
+WARMUP_GRID = 0.6
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,7 @@ class RecoveryConfig:
 
     mu_min is a floor on the noise level relative to the signal's l2 norm;
     it is applied by the harness when it computes mu from ground truth
-    (the driver itself just requires mu > 0). warmup_h and warmup_grid
-    only affect the projection-only variant.
+    (the driver itself just requires mu > 0).
     """
 
     c_b: int = 8
@@ -68,14 +77,10 @@ class RecoveryConfig:
     c_h: int = 3
     alpha: float = 0.02
     beta: float = 0.08
-    c_s: int = 26
     mu_min: float = 1e-12
-    max_shift_attempts_factor: int = 10
-    warmup_h: int = 5
-    warmup_grid: float = 0.6
 
     def __post_init__(self):
-        for name in ("c_b", "c_r", "c_h", "c_s"):
+        for name in ("c_b", "c_r", "c_h"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -90,16 +95,10 @@ class RecoveryConfig:
             )
         if self.mu_min <= 0:
             raise ValueError(f"mu_min must be positive, got {self.mu_min}")
-        if self.max_shift_attempts_factor < 1:
-            raise ValueError("max_shift_attempts_factor must be at least 1")
-        if self.warmup_h < 1:
-            raise ValueError(f"warmup_h must be at least 1, got {self.warmup_h}")
-        if not (0 < self.warmup_grid < 1):
-            raise ValueError(f"warmup_grid must lie in (0, 1), got {self.warmup_grid}")
 
 
-PAPER_PROFILE = RecoveryConfig(c_b=10**6, c_r=10**3, c_h=20, alpha=1e-3, beta=0.04, c_s=26)
-DESK_PROFILE = RecoveryConfig(c_b=8, c_r=4, c_h=3, alpha=0.02, beta=0.08, c_s=26)
+PAPER_PROFILE = RecoveryConfig(c_b=10**6, c_r=10**3, c_h=20, alpha=1e-3, beta=0.04)
+DESK_PROFILE = RecoveryConfig(c_b=8, c_r=4, c_h=3, alpha=0.02, beta=0.08)
 
 
 def ceil_log2(x) -> int:
@@ -122,10 +121,7 @@ class Schedule:
     l: int
     log2_rstar: int
     rstar_pow: float
-    mu: float
     nus: tuple
-    h_base: int
-    h_floor: int
 
     @property
     def budget(self) -> int:
@@ -150,9 +146,9 @@ def build_schedule(
     R* is rounded up to a power of two, so the ladder ends exactly at
     2^(1-H) * nu_L = mu for the main driver. H takes the larger of the
     nominal value ceil(log2 k) + c_h and a floor that keeps the shift
-    rejection loop fast: with at most c_s*k occupied coefficients, a
+    rejection loop fast: with at most C_S*k occupied coefficients, a
     per-attempt failure chance of at most 1/2 needs the box radius
-    2^(1-H)*nu below alpha*nu / (4*c_s*k). Small-constant profiles would
+    2^(1-H)*nu below alpha*nu / (4*C_S*k). Small-constant profiles would
     otherwise make good shifts astronomically rare for k beyond a handful.
     The cap at log2 R* always wins when the ladder is short.
     """
@@ -168,13 +164,12 @@ def build_schedule(
     log2_rstar = ceil_log2(rstar)
     b = config.c_b * k
     r = config.c_r * ceil_log2(n)
-    h_base = ceil_log2(k) + config.c_h
-    h_floor = math.ceil(3 + math.log2(config.c_s * k / config.alpha))
     if warmup:
-        h = config.warmup_h
+        h = WARMUP_H
         ell = max(1, log2_rstar - h + 1)
     else:
-        h = min(max(h_base, h_floor), log2_rstar)
+        h_fast = math.ceil(3 + math.log2(C_S * k / config.alpha))
+        h = min(max(ceil_log2(k) + config.c_h, h_fast), log2_rstar)
         ell = log2_rstar - h + 1
     rstar_pow = float(2.0**log2_rstar)
     nus = tuple(2.0 ** (-i) * mu * rstar_pow for i in range(1, ell + 1))
@@ -185,16 +180,8 @@ def build_schedule(
         l=ell,
         log2_rstar=log2_rstar,
         rstar_pow=rstar_pow,
-        mu=mu,
         nus=nus,
-        h_base=h_base,
-        h_floor=h_floor,
     )
-
-
-def sample_budget(config: RecoveryConfig, n: int, k: int, rstar: float) -> int:
-    """Samples a main-driver run will read: B * R * H for its schedule."""
-    return build_schedule(config, n, k, mu=1.0, rstar=rstar).budget
 
 
 class ShiftFailure(RuntimeError):
@@ -246,12 +233,6 @@ def _merge_dropping_zeros(y: dict, z: dict) -> dict:
     return out
 
 
-def _resolve_entropy(rng: Union[int, np.random.Generator]) -> int:
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return int(rng.integers(2**63))
-
-
 def _drive(
     x: AuditedSignal,
     schedule: Schedule,
@@ -261,9 +242,17 @@ def _drive(
     grid_scale: float,
 ) -> RecoveryResult:
     u = x.universe
+    # sample coordinates plus flat indices, and the (R, n) estimate matrix
+    need = schedule.budget * (u.d + 1) * 8 + schedule.r * u.n * 16
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"B*R*H = {schedule.budget} samples and the ({schedule.r}, {u.n}) estimate matrix"
+            f" need {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     x.grant_bundle(bundle)
-    cap = config.max_shift_attempts_factor * ceil_log2(u.n)
+    cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)
 
     y: dict = {}
     diags = []
@@ -308,17 +297,17 @@ def fourier_sparse_recovery(
     mu: float,
     rstar: float,
     config: RecoveryConfig = DESK_PROFILE,
-    rng: Union[int, np.random.Generator] = 0,
+    rng: int = 0,
 ) -> RecoveryResult:
     """Recover an O(k)-sparse spectrum approximation with sup error mu.
 
     mu bounds the noise level (1/sqrt(k) times the l2 norm of the
     spectrum's tail) and rstar bounds sup|xhat| / mu; both come from the
-    caller, typically an oracle or prior knowledge. rng may be an integer
-    seed or a Generator; either way the run is fully reproducible.
+    caller, typically an oracle or prior knowledge. rng is the integer
+    seed every random choice of the run derives from.
     """
     schedule = build_schedule(config, x.universe.n, k, mu, rstar)
-    return _drive(x, schedule, config, _resolve_entropy(rng), True, config.beta)
+    return _drive(x, schedule, config, rng, True, config.beta)
 
 
 def fourier_sparse_recovery_by_projection(
@@ -327,14 +316,14 @@ def fourier_sparse_recovery_by_projection(
     mu: float,
     rstar: float,
     config: RecoveryConfig = DESK_PROFILE,
-    rng: Union[int, np.random.Generator] = 0,
+    rng: int = 0,
 ) -> RecoveryResult:
-    """Shift-free variant with a fixed small H; meant for k = O(log n).
+    """Shift-free variant with H = WARMUP_H; meant for k = O(log n).
 
-    Uses a coarser lattice (side warmup_grid * nu) whose cells are wide
+    Uses a coarser lattice (side WARMUP_GRID * nu) whose cells are wide
     enough that no random shift is needed: the post-reduction residual
     2^(1-H)*nu plus the projection displacement still fits inside half the
     next rung's radius.
     """
     schedule = build_schedule(config, x.universe.n, k, mu, rstar, warmup=True)
-    return _drive(x, schedule, config, _resolve_entropy(rng), False, config.warmup_grid)
+    return _drive(x, schedule, config, rng, False, WARMUP_GRID)

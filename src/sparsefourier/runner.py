@@ -29,7 +29,7 @@ from .signals import Metrics, SignalSpec, compute_metrics, gen_signal, noise_flo
 
 __all__ = ["Report", "run_experiment", "run_single_trial", "emit_report", "report_to_dict"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 ALGORITHMS = {
     "main": fourier_sparse_recovery,

@@ -1,7 +1,7 @@
 """Synthetic test signals, the exact spectrum oracle, and trial metrics.
 
-Signals are planted in the frequency domain: k tones at distinct uniform
-frequencies with chosen magnitudes and uniform random phases, plus optional
+Signals are planted in the frequency domain: k unit-magnitude tones at
+distinct uniform frequencies with uniform random phases, plus optional
 complex Gaussian noise on every frequency coordinate. Ground truth is then
 exact by construction, and the noise level mu = (1/sqrt(k)) * l2(tail) is
 directly controllable through sigma.
@@ -33,12 +33,10 @@ __all__ = [
 class SignalSpec:
     """Recipe for one synthetic instance.
 
-    magnitude_model: "equal" gives every tone |amplitude|; "geometric"
-    decays by geometric_ratio per tone; "explicit" takes the magnitudes
-    from explicit_magnitudes (length k). Phases are always uniform. sigma
-    is the per-coordinate standard deviation of frequency-domain complex
-    Gaussian noise (E|eta|^2 = sigma^2), applied to all n coordinates.
-    seed may be an int or a tuple of ints.
+    k tones of magnitude 1 with uniform phases. sigma is the
+    per-coordinate standard deviation of frequency-domain complex Gaussian
+    noise (E|eta|^2 = sigma^2), applied to all n coordinates. seed may be
+    an int or a tuple of ints.
     """
 
     p: int
@@ -46,10 +44,6 @@ class SignalSpec:
     k: int
     sigma: float = 0.0
     seed: Union[int, tuple] = 0
-    magnitude_model: str = "equal"
-    amplitude: float = 1.0
-    geometric_ratio: float = 0.5
-    explicit_magnitudes: Optional[tuple] = None
 
     def __post_init__(self):
         u = self.universe  # validates p, d
@@ -57,27 +51,10 @@ class SignalSpec:
             raise ValueError(f"need 1 <= k <= {u.n}, got k={self.k}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.magnitude_model not in ("equal", "geometric", "explicit"):
-            raise ValueError(f"unknown magnitude model {self.magnitude_model!r}")
-        if self.magnitude_model == "explicit":
-            if self.explicit_magnitudes is None or len(self.explicit_magnitudes) != self.k:
-                raise ValueError("explicit model needs exactly k magnitudes")
-        elif self.magnitude_model == "geometric" and not (0 < self.geometric_ratio <= 1):
-            raise ValueError(f"geometric ratio must lie in (0, 1], got {self.geometric_ratio}")
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
 
     @property
     def universe(self) -> Universe:
         return Universe(p=self.p, d=self.d)
-
-
-def _magnitudes(spec: SignalSpec) -> np.ndarray:
-    if spec.magnitude_model == "equal":
-        return np.full(spec.k, spec.amplitude)
-    if spec.magnitude_model == "geometric":
-        return spec.amplitude * spec.geometric_ratio ** np.arange(spec.k)
-    return np.asarray(spec.explicit_magnitudes, dtype=float)
 
 
 def gen_signal(spec: SignalSpec) -> tuple:
@@ -88,11 +65,15 @@ def gen_signal(spec: SignalSpec) -> tuple:
     phases = np.exp(2j * np.pi * rng.random(spec.k))
 
     xhat = np.zeros(u.n, dtype=np.complex128)
-    xhat[support] = _magnitudes(spec) * phases
-    if spec.sigma > 0:
-        noise = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
-        xhat += spec.sigma / math.sqrt(2) * noise
-    return inverse(u, xhat), xhat
+    xhat[support] = phases
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        if spec.sigma > 0:
+            noise = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
+            xhat += spec.sigma / math.sqrt(2) * noise
+        x = inverse(u, xhat)
+    if not (np.isfinite(xhat).all() and np.isfinite(x).all()):
+        raise ValueError(f"sigma={spec.sigma} overflows the generated signal")
+    return x, xhat
 
 
 def oracle_top_k(u: Universe, x: np.ndarray, k: int, mu_min_scale: float = 1e-12) -> tuple:

@@ -6,7 +6,7 @@ import pytest
 
 from sparsefourier.checks import CHECKS
 from sparsefourier.cli import main
-from sparsefourier.sampling import AuditViolation
+from sparsefourier.sampling import AuditViolation, SampleBundle
 
 NOISELESS = ["--p", "8", "--d", "2", "--k", "2", "--seed", "3"]
 
@@ -15,7 +15,7 @@ def test_recover_prints_json_report(capsys):
     assert main(["recover", *NOISELESS]) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert report["trials"] == 1
     assert report["metrics"][0]["seed"] == 3  # --seed is the trial seed
     assert report["metrics"][0]["guarantee_ok"] is True
@@ -53,8 +53,10 @@ def test_set_overrides_constants(capsys):
 
 
 def test_set_rejects_unknown_name(capsys):
-    assert main(["recover", *NOISELESS, "--set", "C_X=1"]) == 2
-    assert "unknown constant" in capsys.readouterr().err
+    # C_S and WARMUP_GRID were settable once and are module constants now
+    for name in ("C_X", "C_S", "WARMUP_GRID"):
+        assert main(["recover", *NOISELESS, "--set", f"{name}=1"]) == 2, name
+        assert "unknown constant" in capsys.readouterr().err, name
 
 
 def test_set_rejects_bad_value(capsys):
@@ -75,12 +77,22 @@ def test_invalid_signal_is_config_error(capsys):
     assert main(["recover", "--p", "4", "--d", "1", "--k", "9"]) == 2
     assert main(["recover", *NOISELESS, "--sigma", "inf"]) == 2
     assert "sigma must be finite" in capsys.readouterr().err
+    # finite, but the generated signal overflows
+    assert main(["recover", *NOISELESS, "--sigma", "1e308"]) == 2
+    assert "sigma" in capsys.readouterr().err
 
 
 def test_unknown_choice_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
-        main(["recover", *NOISELESS, "--profile", "galactic"])
+        main(["recover", *NOISELESS, "--algo", "galactic"])
     assert exc.value.code == 2
+
+
+def test_run_too_large_for_memory_exits_2(monkeypatch, capsys):
+    # B*R*H is about 1.8e11 samples; the guard must stop the run before any draw
+    monkeypatch.setattr(SampleBundle, "draw", lambda *a: pytest.fail("bundle drawn"))
+    assert main(["recover", *NOISELESS, "--set", "c_b=1000000", "--set", "c_r=1000"]) == 2
+    assert "memory" in capsys.readouterr().err
 
 
 def test_audit_violation_maps_to_exit_3(monkeypatch, capsys):

@@ -21,7 +21,6 @@ from sparsefourier.recovery import (
     ceil_log2,
     fourier_sparse_recovery,
     fourier_sparse_recovery_by_projection,
-    sample_budget,
 )
 from sparsefourier.reduction import reduce_h_rounds
 from sparsefourier.sampling import AuditedSignal, SampleBundle
@@ -59,7 +58,6 @@ def test_profiles_are_valid():
         {"alpha": 0.05, "beta": 0.08},  # alpha > beta/2
         {"c_b": 0},
         {"mu_min": 0.0},
-        {"warmup_grid": 1.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -91,15 +89,16 @@ def test_ceil_log2_is_exact():
 
 
 def test_schedule_desk_example():
-    # k=4, n=4096, R*=2^10: the base H would be ceil(log2 4)+3 = 5, but at
-    # alpha=0.02 the shift-speed floor is 16, so the log2 R* cap wins and
-    # the run degenerates to a single rung with H = 10
+    # k=4, n=4096: the base H would be ceil(log2 4)+3 = 5, but at
+    # alpha=0.02 the shift-speed floor is 16. At R*=2^10 the log2 R* cap
+    # wins and the run degenerates to a single rung with H = 10
     s = build_schedule(DESK_PROFILE, n=4096, k=4, mu=1.0, rstar=2**10)
     assert (s.b, s.r) == (32, 48)
-    assert s.h_base == 5 and s.h_floor == 16
     assert s.h == 10 and s.l == 1
     assert s.budget == 32 * 48 * 10 == 15360
-    assert sample_budget(DESK_PROFILE, 4096, 4, 2**10) == 15360
+    # at R*=2^20 the cap is 20, so the floor wins
+    t = build_schedule(DESK_PROFILE, n=4096, k=4, mu=1.0, rstar=2**20)
+    assert t.h == 16 and t.l == 5
 
 
 def test_schedule_min_branch_k1():
@@ -112,7 +111,7 @@ def test_schedule_min_branch_k1():
 def test_schedule_doubling_rstar_keeps_budget():
     a = build_schedule(PAPER_PROFILE, n=1024, k=1, mu=1.0, rstar=2**30)
     b = build_schedule(PAPER_PROFILE, n=1024, k=1, mu=1.0, rstar=2**31)
-    assert a.h == b.h == 20  # h_base = 0 + 20 dominates the floor of 18
+    assert a.h == b.h == 20  # the base ceil(log2 1) + 20 beats the floor of 18
     assert b.l == a.l + 1
     assert a.budget == b.budget
 
@@ -239,6 +238,18 @@ def test_driver_validates_inputs():
         fourier_sparse_recovery(sig, k=1, mu=-1.0, rstar=4)
     with pytest.raises(ValueError):
         fourier_sparse_recovery(sig, k=1, mu=1.0, rstar=1.0)
+
+
+def test_run_too_large_for_memory_is_refused(monkeypatch):
+    # the paper constants declare B*R*H of about 2.5e11 samples at n=64
+    monkeypatch.setattr(SampleBundle, "draw", lambda *a: pytest.fail("bundle drawn"))
+    u = Universe(p=8, d=2)
+    _, x = _plant(u, {5: 1.0 + 0j, 40: 0.5j})
+    mu = _noise_floor(x)
+    sig = AuditedSignal(u, x)
+    with pytest.raises(ValueError, match="memory"):
+        fourier_sparse_recovery(sig, k=2, mu=mu, rstar=1 / mu, config=PAPER_PROFILE, rng=0)
+    assert sig.granted_total == 0
 
 
 # -------------------------------------------------------------- warm-up

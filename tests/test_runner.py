@@ -74,7 +74,9 @@ def test_json_round_trip(tmp_path):
     assert on_disk == text
     parsed = json.loads(on_disk)
     assert parsed == report_to_dict(report)
-    assert parsed["schema_version"] == "1"
+    assert parsed["schema_version"] == "2"
+    assert set(parsed["signal"]) == {"p", "d", "k", "sigma", "seed"}
+    assert set(parsed["config"]) == {"c_b", "c_r", "c_h", "alpha", "beta", "mu_min"}
     assert parsed["config"]["c_b"] == 8
     assert len(parsed["metrics"]) == 2
 

@@ -96,29 +96,16 @@ def test_gen_signal_deterministic_and_seed_sensitive():
     assert not np.array_equal(x1, x3)
 
 
-def test_magnitude_models():
-    geo = SignalSpec(p=16, d=1, k=3, seed=1, magnitude_model="geometric", geometric_ratio=0.5)
-    _, xhat = gen_signal(geo)
-    mags = np.sort(np.abs(xhat[np.abs(xhat) > 0]))[::-1]
-    assert_allclose(mags, [1.0, 0.5, 0.25], atol=1e-12)
-
-    exp = SignalSpec(
-        p=16, d=1, k=2, seed=1, magnitude_model="explicit", explicit_magnitudes=(2.0, 0.3)
-    )
-    _, xhat = gen_signal(exp)
-    assert_allclose(np.sort(np.abs(xhat[np.abs(xhat) > 0])), [0.3, 2.0], atol=1e-12)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"k": 0},
         {"k": 65},  # > n
         {"sigma": -0.1},
-        {"magnitude_model": "unknown"},
-        {"magnitude_model": "explicit"},  # missing magnitudes
-        {"magnitude_model": "geometric", "geometric_ratio": 0.0},
-        {"amplitude": 0.0},
+        {"k": -1},
+        {"sigma": float("-inf")},
+        {"p": 0},  # rejected by the Universe check
+        {"d": 0},
         {"sigma": float("inf")},
         {"sigma": float("nan")},
     ],
