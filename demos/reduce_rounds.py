@@ -26,12 +26,12 @@ signal.grant_bundle(bundle)
 
 nu = float(np.max(np.abs(xhat))) / 2.0
 print(f"k={spec.k} tones on n={u.n}, starting radius nu = {nu:.4f}")
-print(f"bundle: H={H} rows x R={R} lists x B={B} points = {bundle.total_points()} samples\n")
+print(f"bundle: (H, R, B, d) = {bundle.points.shape} array, {signal.granted_total} samples\n")
 
 y = {}
 for i in range(1, H + 1):
     radius = 2.0 ** (1 - i) * nu
-    out = linfinity_reduce(signal, y, bundle.lists[i - 1], radius)
+    out = linfinity_reduce(signal, y, bundle.points[i - 1], radius)
     for f, v in out.z.items():
         y[f] = y.get(f, 0) + v
     resid = float(np.max(np.abs(xhat - densify(u, y))))

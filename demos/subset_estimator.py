@@ -11,24 +11,21 @@ tail bound that the reduction step relies on.
 import numpy as np
 
 from sparsefourier.checks import noise_bound_check
-from sparsefourier.dft import Universe, forward, inverse
-from sparsefourier.sampling import coefficient, draw_sample_list, subset_transform_single
+from sparsefourier.dft import Universe, flat_index, forward, inverse
+from sparsefourier.sampling import coefficient, subset_transform_single
 
 rng = np.random.default_rng(23)
 u = Universe(p=16, d=2)
 B = 64
 
-# second moment of the leakage coefficients, a few thousand lists
-freqs = [1, 17, 100]
-sq = {f: [] for f in freqs}
-for _ in range(3000):
-    t = draw_sample_list(u, B, rng)
-    assert abs(coefficient(0, t) - 1.0) < 1e-12
-    for f in freqs:
-        sq[f].append(abs(coefficient(f, t)) ** 2)
+# second moment of the leakage coefficients over a few thousand lists,
+# one (lists, B, d) array: coefficient averages over the B points
+lists = rng.integers(0, u.p, size=(3000, B, u.d))
+assert np.all(np.abs(coefficient(u, 0, lists) - 1.0) < 1e-12)
 print(f"E|c_f|^2 should be 1/B = {1 / B:.5f}")
-for f in freqs:
-    print(f"  f={f:4d}: measured {np.mean(sq[f]):.5f} +- {np.std(sq[f]) / np.sqrt(len(sq[f])):.5f}")
+for f in [1, 17, 100]:
+    sq = np.abs(coefficient(u, f, lists)) ** 2
+    print(f"  f={f:4d}: measured {np.mean(sq):.5f} +- {np.std(sq) / np.sqrt(len(sq)):.5f}")
 
 # the estimator is unbiased: average it over many lists at a planted tone
 xhat = np.zeros(u.n, dtype=np.complex128)
@@ -37,8 +34,8 @@ xhat[200] = -0.8 + 0.2j
 x = inverse(u, xhat)
 estimates = []
 for _ in range(2000):
-    t = draw_sample_list(u, B, rng)
-    estimates.append(subset_transform_single(x[t.flats], t, 37))
+    t = rng.integers(0, u.p, size=(B, u.d))
+    estimates.append(subset_transform_single(u, x[flat_index(u, t)], t, 37))
 print(f"\ntarget xhat_37 = {xhat[37]}, mean of 2000 estimates = {np.mean(estimates):.4f}")
 others = np.linalg.norm([v for i, v in enumerate(xhat) if i != 37])
 print(f"per-estimate std = {np.std(estimates):.4f} (leakage scale: other tones / sqrt(B) = "

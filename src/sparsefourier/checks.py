@@ -14,7 +14,7 @@ import numpy as np
 
 from .dft import Universe, flat_index, inverse, unflat_index
 from .grids import GridSpec, box_projects_uniquely
-from .sampling import _as_coords
+from .sampling import _as_coords, coefficient
 
 __all__ = [
     "noise_bound_check",
@@ -72,13 +72,8 @@ def coefficient_moments(seed: int):
     b, draws = 64, 10_000
     rng = np.random.default_rng(seed)
     points = unflat_index(u, np.arange(u.n))[rng.integers(0, u.n, size=(draws, b))]
-
-    def coefficients(f):
-        phase = (points @ unflat_index(u, f)) % u.p
-        return np.exp(2j * np.pi * phase / u.p).mean(axis=1)
-
-    c0_err = float(np.max(np.abs(coefficients(0) - 1.0)))
-    cs = np.array([coefficients(f) for f in (1, 7, 16, 100, 255)])
+    c0_err = float(np.max(np.abs(coefficient(u, 0, points) - 1.0)))
+    cs = np.array([coefficient(u, f, points) for f in (1, 7, 16, 100, 255)])
     i, j = np.triu_indices(len(cs), 1)
     # E|c_f|^2 = 1/B for each f and E[c_f conj(c_g)] = 0 for each pair f != g
     terms = np.concatenate([np.abs(cs) ** 2, cs[i] * np.conj(cs[j])])

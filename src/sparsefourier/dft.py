@@ -57,9 +57,9 @@ def flat_index(u: Universe, coords) -> int | np.ndarray:
     """
     c = np.asarray(coords, dtype=np.int64)
     if c.shape[-1] != u.d:
-        raise ValueError(f"expected {u.d} coordinates, got shape {c.shape}")
+        raise ValueError(f"expected {u.d} coordinates of the universe [{u.p}]^{u.d}, got {c.shape}")
     if np.any(c < 0) or np.any(c >= u.p):
-        raise ValueError(f"coordinate out of range [0, {u.p})")
+        raise ValueError(f"coordinate out of range [0, {u.p}) of the universe [{u.p}]^{u.d}")
     weights = u.p ** np.arange(u.d, dtype=np.int64)
     out = c @ weights
     return int(out) if out.ndim == 0 else out

@@ -44,6 +44,7 @@ __all__ = [
     "ShiftFailure",
     "build_schedule",
     "ceil_log2",
+    "require_memory",
     "fourier_sparse_recovery",
     "fourier_sparse_recovery_by_projection",
 ]
@@ -93,8 +94,8 @@ class RecoveryConfig:
                 f"shift radius must leave rounding room: alpha <= beta/2,"
                 f" got alpha={self.alpha}, beta={self.beta}"
             )
-        if self.mu_min <= 0:
-            raise ValueError(f"mu_min must be positive, got {self.mu_min}")
+        if not 0 < self.mu_min < math.inf:
+            raise ValueError(f"mu_min must be positive and finite, got {self.mu_min}")
 
 
 PAPER_PROFILE = RecoveryConfig(c_b=10**6, c_r=10**3, c_h=20, alpha=1e-3, beta=0.04)
@@ -109,6 +110,16 @@ def ceil_log2(x) -> int:
         return (int(x) - 1).bit_length()
     mant, exp = math.frexp(x)  # x = mant * 2^exp with mant in [0.5, 1)
     return exp - 1 if mant == 0.5 else exp
+
+
+def require_memory(need: float, what: str) -> None:
+    """Refuse, with ValueError, work that needs more bytes than physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{what} need {need / 2**30:.3g} GiB,"
+            f" more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -156,10 +167,10 @@ def build_schedule(
         raise ValueError(f"sparsity k must be at least 1, got {k}")
     if n < 2:
         raise ValueError(f"universe size must be at least 2, got {n}")
-    if mu <= 0:
-        raise ValueError(f"noise level mu must be positive, got {mu}")
-    if rstar < 2:
-        raise ValueError(f"dynamic range bound rstar must be at least 2, got {rstar}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"noise level mu must be positive and finite, got {mu}")
+    if not 2 <= rstar < math.inf:
+        raise ValueError(f"dynamic range bound rstar must be finite and at least 2, got {rstar}")
 
     log2_rstar = ceil_log2(rstar)
     b = config.c_b * k
@@ -242,14 +253,11 @@ def _drive(
     grid_scale: float,
 ) -> RecoveryResult:
     u = x.universe
-    # sample coordinates plus flat indices, and the (R, n) estimate matrix
-    need = schedule.budget * (u.d + 1) * 8 + schedule.r * u.n * 16
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"B*R*H = {schedule.budget} samples and the ({schedule.r}, {u.n}) estimate matrix"
-            f" need {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    # the solve's tracemalloc peak: bundle coordinates and their flat indices, three
+    # (R, n) complex matrices per round (scatter, transform, scaled copy), per-list
+    # sample arrays, and an allowance for numpy's first-call caches
+    need = schedule.budget * (u.d + 1) * 8 + schedule.r * (48 * u.n + 64 * schedule.b) + 2**18
+    require_memory(need, f"B*R*H = {schedule.budget} samples and ({schedule.r}, {u.n}) matrices")
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     x.grant_bundle(bundle)
     cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)
@@ -286,7 +294,7 @@ def _drive(
     return RecoveryResult(
         y=y,
         diagnostics=tuple(diags),
-        samples_used=bundle.total_points(),
+        samples_used=math.prod(bundle.points.shape[:-1]),
         schedule=schedule,
     )
 

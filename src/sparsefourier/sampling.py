@@ -1,7 +1,8 @@
 """Uniform time-domain sampling and the subset-sample Fourier estimator.
 
 A sample list T is an ordered list of B i.i.d. uniform points of [p]^d,
-duplicates kept. The estimator built from it,
+duplicates kept, stored as a (B, d) integer array; a run's H x R grid of
+lists is one (H, R, B, d) array. The estimator built from a list,
 
     xhat^[T]_f = (sqrt(n)/|T|) * sum_{t in T} omega^(f.t) * x_t,
 
@@ -18,19 +19,17 @@ Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dft import Universe, flat_index, forward, unflat_index
 
 __all__ = [
-    "SampleList",
     "SampleBundle",
     "AuditedSignal",
     "AuditViolation",
     "stream_rng",
-    "draw_sample_list",
     "coefficient",
     "subset_transform_single",
     "subset_transform_dense",
@@ -53,69 +52,23 @@ DOMAIN_SIGNAL = 2
 
 
 @dataclass(eq=False)
-class SampleList:
-    """Ordered list of time points (with multiplicity) in one universe."""
-
-    universe: Universe
-    points: np.ndarray  # (B, d) integer array
-    flats: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[1] != self.universe.d:
-            raise ValueError(f"points must be (B, {self.universe.d}), got {pts.shape}")
-        if len(pts) == 0:
-            raise ValueError("sample list must be non-empty")
-        self.points = pts
-        self.flats = flat_index(self.universe, pts)  # validates the range too
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def draw_sample_list(u: Universe, b: int, rng: np.random.Generator) -> SampleList:
-    """Draw B points with every coordinate i.i.d. uniform in [0, p)."""
-    if b < 1:
-        raise ValueError(f"need at least one sample point, got b={b}")
-    return SampleList(u, rng.integers(0, u.p, size=(b, u.d), dtype=np.int64))
-
-
-@dataclass(eq=False)
 class SampleBundle:
-    """H x R grid of independent sample lists, all of size B."""
+    """H x R grid of independent sample lists of B points: list (i, j) is points[i, j]."""
 
     universe: Universe
-    lists: tuple  # tuple of H tuples of R SampleLists
+    points: np.ndarray  # (H, R, B, d) integer array
 
     @classmethod
     def draw(cls, u: Universe, h: int, r: int, b: int, entropy) -> "SampleBundle":
-        """Draw the full bundle; list (i, j) comes from stream (entropy, i, j)."""
-        if h < 1 or r < 1:
-            raise ValueError(f"need h >= 1 and r >= 1, got h={h}, r={r}")
-        rows = tuple(
-            tuple(draw_sample_list(u, b, stream_rng(entropy, DOMAIN_SAMPLES, i, j)) for j in range(r))
-            for i in range(h)
-        )
-        return cls(u, rows)
-
-    @property
-    def h(self) -> int:
-        return len(self.lists)
-
-    @property
-    def r(self) -> int:
-        return len(self.lists[0])
-
-    @property
-    def b(self) -> int:
-        return len(self.lists[0][0])
-
-    def total_points(self) -> int:
-        """Declared sample budget: points counted with multiplicity."""
-        return sum(len(t) for row in self.lists for t in row)
-
-    def all_flats(self) -> np.ndarray:
-        return np.concatenate([t.flats for row in self.lists for t in row])
+        """Draw i.i.d. uniform coordinates; list (i, j) comes from stream (entropy, i, j)."""
+        if h < 1 or r < 1 or b < 1:
+            raise ValueError(f"need h, r, b >= 1, got h={h}, r={r}, b={b}")
+        points = np.empty((h, r, b, u.d), dtype=np.int64)
+        for i in range(h):
+            for j in range(r):
+                rng = stream_rng(entropy, DOMAIN_SAMPLES, i, j)
+                points[i, j] = rng.integers(0, u.p, size=(b, u.d), dtype=np.int64)
+        return cls(u, points)
 
 
 class AuditViolation(RuntimeError):
@@ -152,7 +105,9 @@ class AuditedSignal:
         self._granted_total += len(idx)
 
     def grant_bundle(self, bundle: SampleBundle) -> None:
-        self.grant(bundle.all_flats())
+        if bundle.universe != self.universe:  # in-range points of a smaller p are not uniform
+            raise ValueError(f"bundle universe {bundle.universe} != signal's {self.universe}")
+        self.grant(flat_index(self.universe, bundle.points).ravel())
 
     def read(self, flats: np.ndarray) -> np.ndarray:
         idx = np.asarray(flats, dtype=np.int64)
@@ -194,53 +149,42 @@ def _as_coords(u: Universe, f) -> np.ndarray:
     return fv
 
 
-def coefficient(f, t: SampleList) -> complex:
+def coefficient(u: Universe, f, points) -> complex | np.ndarray:
     """Measurement coefficient c^[T]_f = (1/|T|) sum_t omega^(f.t).
 
     The defining property (and the reason for the exact formula) is the
     decomposition xhat^[T]_f = sum_{f'} c^[T]_{f-f'} xhat_{f'}: the subset
-    estimator reads the true spectrum through this leakage kernel.
+    estimator reads the true spectrum through this leakage kernel. points
+    is a (..., B, d) array of lists; the result has its leading shape.
     """
-    u = t.universe
-    fv = _as_coords(u, f)
-    phase = (t.points @ fv) % u.p
-    return complex(np.exp(2j * np.pi * phase / u.p).mean())
+    phase = (np.asarray(points) @ _as_coords(u, f)) % u.p
+    c = np.exp(2j * np.pi * phase / u.p).mean(axis=-1)
+    return complex(c) if c.ndim == 0 else c
 
 
-def subset_transform_single(samples, t: SampleList, f) -> complex:
-    """Estimate one spectrum entry from samples taken at the points of T."""
+def subset_transform_single(u: Universe, samples, points, f) -> complex:
+    """Estimate one spectrum entry from samples taken at the (B, d) points of T."""
     vals = np.asarray(samples, dtype=np.complex128)
-    if vals.shape != (len(t),):
-        raise ValueError(f"got {vals.shape[0] if vals.ndim else 0} samples for {len(t)} points")
-    u = t.universe
-    fv = _as_coords(u, f)
-    phase = (t.points @ fv) % u.p
+    pts = np.asarray(points)
+    if pts.ndim != 2 or vals.shape != (len(pts),):
+        raise ValueError(f"got samples of shape {vals.shape} for points of shape {pts.shape}")
+    phase = (pts @ _as_coords(u, f)) % u.p
     est = np.exp(2j * np.pi * phase / u.p) @ vals
-    return complex(est * np.sqrt(u.n) / len(t))
+    return complex(est * np.sqrt(u.n) / len(pts))
 
 
-def subset_transform_dense(samples, lists) -> np.ndarray:
+def subset_transform_dense(u: Universe, samples, flats) -> np.ndarray:
     """Estimate all n spectrum entries from each of R sample lists at once.
 
-    Row r of the (R, n) result comes from samples[r] taken at lists[r]: the
-    samples are scattered (summing duplicates) with the scale n/|T_r| folded
-    in, then one batched forward transform matches the per-frequency
-    estimator entrywise on every row.
+    samples[r, j] is the signal at flat time index flats[r, j], both (R, B).
+    Row r of the (R, n) result comes from list r: its samples are scattered
+    (summing duplicates) with the scale n/B folded in, then one batched
+    forward transform matches the per-frequency estimator entrywise.
     """
-    lists = tuple(lists)
-    if len(samples) != len(lists) or not lists:
-        raise ValueError(f"need one sample array per list, got {len(samples)} for {len(lists)}")
-    u = lists[0].universe
-    for s, t in zip(samples, lists):
-        if t.universe != u:
-            raise ValueError(f"sample list universe {t.universe} != {u}")
-        if np.shape(s) != (len(t),):
-            raise ValueError(f"got samples of shape {np.shape(s)} for {len(t)} points")
-    mat = np.zeros((len(lists), u.n), dtype=np.complex128)
-    rows = np.concatenate([np.full(len(t), i) for i, t in enumerate(lists)])
-    cols = np.concatenate([t.flats for t in lists])
-    vals = np.concatenate(
-        [np.asarray(s, dtype=np.complex128) * (u.n / len(t)) for s, t in zip(samples, lists)]
-    )
-    np.add.at(mat, (rows, cols), vals)
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.ndim != 2 or samples.shape != np.shape(flats) or samples.size == 0:
+        raise ValueError(f"need equal (R, B) shapes, R, B >= 1: {samples.shape}, {np.shape(flats)}")
+    r, b = samples.shape
+    mat = np.zeros((r, u.n), dtype=np.complex128)
+    np.add.at(mat, (np.arange(r)[:, None], flats), samples * (u.n / b))
     return forward(u, mat)

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dft import Universe, densify, forward, inverse
-from .recovery import RecoveryResult, ceil_log2
+from .recovery import RecoveryResult, ceil_log2, require_memory
 from .sampling import DOMAIN_SIGNAL, stream_rng
 
 __all__ = [
@@ -60,6 +60,8 @@ class SignalSpec:
 def gen_signal(spec: SignalSpec) -> tuple:
     """Generate (x, xhat_truth), deterministic per seed."""
     u = spec.universe
+    # spectrum, noise draw and transform: at most 64 bytes per point at once
+    require_memory(64 * u.n, f"synthesizing a signal on n = {u.n} points would")
     rng = stream_rng(spec.seed, DOMAIN_SIGNAL)
     support = rng.choice(u.n, size=spec.k, replace=False)
     phases = np.exp(2j * np.pi * rng.random(spec.k))
@@ -97,7 +99,7 @@ def oracle_top_k(u: Universe, x: np.ndarray, k: int, mu_min_scale: float = 1e-12
     mu = float(np.linalg.norm(tail) / math.sqrt(k))
 
     linf = float(np.max(np.abs(xhat)))
-    floor = max(mu, mu_min_scale * float(np.linalg.norm(x)))
+    floor = noise_floor_value(x, mu, mu_min_scale)
     rstar = 2.0 if (linf == 0 or floor == 0) else max(2.0, 2.0 ** ceil_log2(linf / floor))
     return approx, mu, rstar
 

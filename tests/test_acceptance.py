@@ -17,7 +17,7 @@ import pytest
 
 from conftest import direct_dft
 from sparsefourier import checks
-from sparsefourier.dft import Universe, densify, forward, inverse
+from sparsefourier.dft import Universe, densify, flat_index, forward, inverse
 from sparsefourier.recovery import (
     DESK_PROFILE,
     ShiftFailure,
@@ -201,9 +201,10 @@ def test_a7_sample_budget_audit(a5_batch, a6_batch):
     sig = AuditedSignal(u, np.ones(u.n, dtype=np.complex128))
     bundle = SampleBundle.draw(u, h=1, r=1, b=4, entropy=71)
     sig.grant_bundle(bundle)
-    outside = (int(bundle.lists[0][0].flats[0]) + 1) % u.n
+    flats = flat_index(u, bundle.points).ravel()
+    outside = (int(flats[0]) + 1) % u.n
     with pytest.raises(AuditViolation):
-        sig.read(np.array([outside] if outside not in set(bundle.all_flats().tolist()) else []))
+        sig.read(np.array([outside] if outside not in set(flats.tolist()) else []))
 
     ok = exact == len(records)
     assert _verdict(
@@ -229,7 +230,7 @@ def test_a8_reduce_halves_radius():
             bundle = SampleBundle.draw(u, h=1, r=rr, b=b, entropy=seed)
             sig = AuditedSignal(u, x)
             sig.grant_bundle(bundle)
-            z = linfinity_reduce(sig, {}, bundle.lists[0], nu).z
+            z = linfinity_reduce(sig, {}, bundle.points[0], nu).z
             resid = xhat - densify(u, z)
             hits += float(np.max(np.abs(resid))) <= nu
         batches.append((b, rr, hits, need))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sparsefourier import signals
 from sparsefourier.checks import CHECKS
 from sparsefourier.cli import main
 from sparsefourier.sampling import AuditViolation, SampleBundle
@@ -61,6 +62,10 @@ def test_set_rejects_unknown_name(capsys):
 
 def test_set_rejects_bad_value(capsys):
     assert main(["recover", *NOISELESS, "--set", "C_B=soon"]) == 2
+    # parsed as floats, but a NaN would reach the JSON report and inf breaks R*
+    for value in ("nan", "inf"):
+        assert main(["recover", *NOISELESS, "--set", f"mu_min={value}"]) == 2, value
+        assert "mu_min must be positive and finite" in capsys.readouterr().err, value
 
 
 def test_set_rejects_missing_equals(capsys):
@@ -93,6 +98,10 @@ def test_run_too_large_for_memory_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(SampleBundle, "draw", lambda *a: pytest.fail("bundle drawn"))
     assert main(["recover", *NOISELESS, "--set", "c_b=1000000", "--set", "c_r=1000"]) == 2
     assert "memory" in capsys.readouterr().err
+    # n = 2^40 points: refused before the signal's first draw or allocation
+    monkeypatch.setattr(signals, "stream_rng", lambda *a: pytest.fail("signal drawn"))
+    assert main(["recover", "--p", "2", "--d", "40", "--k", "1"]) == 2
+    assert "synthesizing a signal" in capsys.readouterr().err
 
 
 def test_audit_violation_maps_to_exit_3(monkeypatch, capsys):

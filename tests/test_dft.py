@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import direct_dft, direct_inverse_dft
@@ -43,6 +45,24 @@ def test_flat_unflat_bijection():
     u = Universe(4, 3)
     flats = np.arange(u.n)
     assert np.array_equal(flat_index(u, unflat_index(u, flats)), flats)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 9),
+    d=st.integers(1, 4),
+    batch=st.lists(st.integers(0, 3), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_unflat_round_trip_batched(p, d, batch, seed):
+    # any leading batch shape, empty axes included, maps through elementwise
+    u = Universe(p, d)
+    coords = np.random.default_rng(seed).integers(0, p, size=(*batch, d))
+    flats = flat_index(u, coords)
+    assert np.shape(flats) == tuple(batch)
+    assert np.array_equal(unflat_index(u, flats), coords)
+    assert np.array_equal(flat_index(u, unflat_index(u, flats)), flats)
+    assert np.all((0 <= np.asarray(flats)) & (np.asarray(flats) < u.n))
 
 
 def test_index_range_errors():

@@ -6,6 +6,8 @@ at 1e-12 times the signal's l2 norm, the convention the harness uses.
 """
 
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +60,8 @@ def test_profiles_are_valid():
         {"alpha": 0.05, "beta": 0.08},  # alpha > beta/2
         {"c_b": 0},
         {"mu_min": 0.0},
+        {"mu_min": float("nan")},
+        {"mu_min": float("inf")},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -140,12 +144,18 @@ def test_schedule_ladder_halves_and_ends_at_mu():
         {"mu": 0.0},
         {"rstar": 1.5},
         {"n": 1},
+        {"mu": float("nan")},
+        {"mu": float("inf")},
+        {"rstar": float("nan")},
+        {"rstar": float("inf")},
     ],
 )
 def test_schedule_rejects_bad_inputs(kwargs):
+    # a NaN fails every comparison, so it must be refused by name, not pass as "not <= 0"
     args = {"n": 64, "k": 2, "mu": 1.0, "rstar": 16.0}
     args.update(kwargs)
-    with pytest.raises(ValueError):
+    names = {"k": "sparsity k", "n": "universe size", "mu": "noise level mu", "rstar": "bound rstar"}
+    with pytest.raises(ValueError, match=names[next(iter(kwargs))]):
         build_schedule(DESK_PROFILE, **args)
 
 
@@ -250,6 +260,35 @@ def test_run_too_large_for_memory_is_refused(monkeypatch):
     with pytest.raises(ValueError, match="memory"):
         fourier_sparse_recovery(sig, k=2, mu=mu, rstar=1 / mu, config=PAPER_PROFILE, rng=0)
     assert sig.granted_total == 0
+
+
+def test_memory_guard_covers_the_measured_peak(monkeypatch):
+    # the guard's estimate must bound what a solve really holds (tracemalloc
+    # peak) without being loose by more than half of it
+    u = Universe(p=16, d=3)
+    _, x = _plant(u, {5: 1.0 + 0j, 1234: 0.5j})
+    mu = _noise_floor(x)
+
+    def solve():
+        return fourier_sparse_recovery(AuditedSignal(u, x), k=2, mu=mu, rstar=1 / mu, rng=0)
+
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    def physical(nbytes):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    physical(int(1.5 * peak))
+    assert len(solve().y) == 2
+    physical(peak - 1)
+    monkeypatch.setattr(SampleBundle, "draw", lambda *a: pytest.fail("bundle drawn"))
+    with pytest.raises(ValueError, match="physical memory"):
+        solve()
 
 
 # -------------------------------------------------------------- warm-up

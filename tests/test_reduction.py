@@ -8,14 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparsefourier.dft import Universe, densify, inverse, sparse_eval_time
+from sparsefourier.dft import Universe, densify, flat_index, inverse, sparse_eval_time
 from sparsefourier.reduction import linfinity_reduce, reduce_h_rounds
-from sparsefourier.sampling import (
-    AuditedSignal,
-    SampleBundle,
-    draw_sample_list,
-    subset_transform_single,
-)
+from sparsefourier.sampling import AuditedSignal, SampleBundle, subset_transform_single
 
 
 def _signal_from_spectrum(u, xhat):
@@ -24,13 +19,14 @@ def _signal_from_spectrum(u, xhat):
 
 def _audited(u, x, lists):
     sig = AuditedSignal(u, x)
-    sig.grant(np.concatenate([t.flats for t in lists]))
+    sig.grant(flat_index(u, lists).ravel())
     return sig
 
 
 def _draw_lists(u, r, b, seed):
+    """R lists of B points, (R, B, d), drawn one list at a time from one generator."""
     rng = np.random.default_rng(seed)
-    return tuple(draw_sample_list(u, b, rng) for _ in range(r))
+    return np.stack([rng.integers(0, u.p, size=(b, u.d), dtype=np.int64) for _ in range(r)])
 
 
 def _residual_linf(u, xhat, approx):
@@ -106,12 +102,12 @@ def test_medians_match_per_list_estimates(time_eval):
 
     def y_at(t):
         if time_eval == "sparse":
-            return sparse_eval_time(u, y, t.points)
-        return inverse(u, densify(u, y))[t.flats]
+            return sparse_eval_time(u, y, t)
+        return inverse(u, densify(u, y))[flat_index(u, t)]
 
     per_list = np.array(
         [
-            [subset_transform_single(x[t.flats] - y_at(t), t, f) for f in range(u.n)]
+            [subset_transform_single(u, x[flat_index(u, t)] - y_at(t), t, f) for f in range(u.n)]
             for t in lists
         ]
     )
@@ -127,6 +123,8 @@ def test_rejects_empty_lists_and_mismatched_universe():
     sig = AuditedSignal(u, np.zeros(4))
     with pytest.raises(ValueError):
         linfinity_reduce(sig, {}, (), nu=0.5)
+    with pytest.raises(ValueError):
+        linfinity_reduce(sig, {}, np.zeros((0, 4, 1), dtype=np.int64), nu=0.5)
     other = _draw_lists(Universe(p=4, d=2), r=2, b=4, seed=0)
     with pytest.raises(ValueError, match="universe"):
         linfinity_reduce(sig, {}, other, nu=0.5)
@@ -157,7 +155,7 @@ def test_single_round_equals_direct_call():
     rng = np.random.default_rng(14)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     bundle = SampleBundle.draw(u, h=1, r=5, b=20, entropy=15)
-    lists = bundle.lists[0]
+    lists = bundle.points[0]
 
     sig1 = AuditedSignal(u, x)
     sig1.grant_bundle(bundle)
@@ -195,7 +193,7 @@ def test_noiseless_two_sparse_residual_walks_down():
 
     z: dict = {}
     for i in range(1, h_rounds + 1):
-        out = linfinity_reduce(sig, dict(z), bundle.lists[i - 1], nu=nu * 2.0 ** (1 - i))
+        out = linfinity_reduce(sig, dict(z), bundle.points[i - 1], nu=nu * 2.0 ** (1 - i))
         for f, v in out.z.items():
             z[f] = z.get(f, 0) + v
         assert _residual_linf(u, xhat, z) <= 2.0 ** (1 - i) * nu + 1e-12

@@ -7,21 +7,33 @@ over the full spectrum on small universes.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sparsefourier.checks import noise_bound_check
-from sparsefourier.dft import Universe, forward, unflat_index
+from sparsefourier.dft import Universe, flat_index, forward, unflat_index
+from sparsefourier.reduction import linfinity_reduce
 from sparsefourier.sampling import (
+    DOMAIN_SAMPLES,
     AuditedSignal,
     AuditViolation,
     SampleBundle,
-    SampleList,
     coefficient,
-    draw_sample_list,
     stream_rng,
     subset_transform_dense,
     subset_transform_single,
 )
+
+
+def _draw(u, b, seed):
+    """One list of B points: the (B, d) array of a 1 x 1 bundle."""
+    return SampleBundle.draw(u, 1, 1, b, seed).points[0, 0]
+
+
+def _points(u, b, rng):
+    """B uniform points of [p]^d from a caller's generator, shape (B, d)."""
+    return rng.integers(0, u.p, size=(b, u.d), dtype=np.int64)
 
 
 # ---------------------------------------------------------------- drawing
@@ -29,47 +41,44 @@ from sparsefourier.sampling import (
 
 def test_draw_shapes_and_range():
     u = Universe(p=5, d=3)
-    t = draw_sample_list(u, 40, np.random.default_rng(0))
-    assert len(t) == 40
-    assert t.points.shape == (40, 3)
-    assert t.points.min() >= 0 and t.points.max() < 5
-    assert t.flats.shape == (40,)
+    bundle = SampleBundle.draw(u, 2, 3, 40, 0)
+    assert bundle.points.shape == (2, 3, 40, 3)
+    assert bundle.points.dtype == np.int64
+    assert bundle.points.min() >= 0 and bundle.points.max() < 5
 
 
 def test_draw_is_deterministic():
     u = Universe(p=7, d=2)
-    a = draw_sample_list(u, 25, np.random.default_rng(123))
-    b = draw_sample_list(u, 25, np.random.default_rng(123))
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(_draw(u, 25, 123), _draw(u, 25, 123))
 
 
 def test_draw_rejects_empty():
     with pytest.raises(ValueError):
-        draw_sample_list(Universe(p=3, d=1), 0, np.random.default_rng(0))
+        SampleBundle.draw(Universe(p=3, d=1), 1, 1, 0, 0)
 
 
 def test_draw_degenerate_universe():
     u = Universe(p=1, d=4)
-    t = draw_sample_list(u, 10, np.random.default_rng(0))
-    assert np.all(t.points == 0)
+    assert np.all(_draw(u, 10, 0) == 0)
 
 
 def test_draw_is_uniform_over_cells():
     # 100k draws over 16 cells: each count within 5 sigma of B/16
     u = Universe(p=4, d=2)
-    t = draw_sample_list(u, 100_000, np.random.default_rng(7))
-    counts = np.bincount(t.flats, minlength=16)
+    counts = np.bincount(flat_index(u, _draw(u, 100_000, 7)), minlength=16)
     expect = 100_000 / 16
     sigma = np.sqrt(100_000 * (1 / 16) * (15 / 16))
     assert np.max(np.abs(counts - expect)) < 5 * sigma
 
 
 def test_sample_list_validates_points():
+    # a row of lists must fit the signal's universe: d coordinates in [0, p)
     u = Universe(p=4, d=2)
-    with pytest.raises(ValueError):
-        SampleList(u, np.zeros((3, 5), dtype=np.int64))
-    with pytest.raises(ValueError):
-        SampleList(u, np.array([[0, 4]]))  # coordinate out of range
+    sig = AuditedSignal(u, np.zeros(u.n))
+    with pytest.raises(ValueError, match="universe"):
+        linfinity_reduce(sig, {}, np.zeros((1, 3, 5), dtype=np.int64), nu=1.0)
+    with pytest.raises(ValueError, match="universe"):
+        linfinity_reduce(sig, {}, np.array([[[0, 4]]]), nu=1.0)  # coordinate out of range
 
 
 def test_stream_rng_reproducible_and_disjoint():
@@ -85,30 +94,29 @@ def test_stream_rng_reproducible_and_disjoint():
 
 def test_coefficient_at_zero_is_one():
     u = Universe(p=6, d=2)
-    t = draw_sample_list(u, 17, np.random.default_rng(3))
-    assert abs(coefficient(0, t) - 1.0) < 1e-14
-    assert abs(coefficient([0, 0], t) - 1.0) < 1e-14
+    t = _points(u, 17, np.random.default_rng(3))
+    assert abs(coefficient(u, 0, t) - 1.0) < 1e-14
+    assert abs(coefficient(u, [0, 0], t) - 1.0) < 1e-14
 
 
 def test_coefficient_exact_cancellation():
     # T = {0, 1} in Z_2, f = 1: phasors 1 and -1 average to zero
     u = Universe(p=2, d=1)
-    t = SampleList(u, np.array([[0], [1]]))
-    assert abs(coefficient(1, t)) < 1e-15
+    assert abs(coefficient(u, 1, np.array([[0], [1]]))) < 1e-15
 
 
 def test_coefficient_flat_and_coords_agree():
     u = Universe(p=5, d=2)
-    t = draw_sample_list(u, 30, np.random.default_rng(4))
-    assert coefficient(7, t) == coefficient([2, 1], t)  # 2 + 1*5 = 7
+    t = _points(u, 30, np.random.default_rng(4))
+    assert coefficient(u, 7, t) == coefficient(u, [2, 1], t)  # 2 + 1*5 = 7
 
 
 def test_coefficient_magnitude_at_most_one():
     u = Universe(p=9, d=2)
     rng = np.random.default_rng(5)
-    t = draw_sample_list(u, 11, rng)
+    t = _points(u, 11, rng)
     for f in rng.integers(0, u.n, size=20):
-        assert abs(coefficient(int(f), t)) <= 1.0 + 1e-12
+        assert abs(coefficient(u, int(f), t)) <= 1.0 + 1e-12
 
 
 def test_coefficient_second_moment_and_decorrelation():
@@ -116,13 +124,10 @@ def test_coefficient_second_moment_and_decorrelation():
     # both within 3 standard errors of a seeded Monte Carlo
     u = Universe(p=16, d=1)
     b, n_draws = 32, 4000
-    rng = np.random.default_rng(11)
-    cf = np.empty(n_draws, dtype=np.complex128)
-    cg = np.empty(n_draws, dtype=np.complex128)
-    for i in range(n_draws):
-        t = draw_sample_list(u, b, rng)
-        cf[i] = coefficient(3, t)
-        cg[i] = coefficient(10, t)
+    lists = np.random.default_rng(11).integers(0, u.p, size=(n_draws, b, u.d), dtype=np.int64)
+    cf = coefficient(u, 3, lists)
+    cg = coefficient(u, 10, lists)
+    assert cf.shape == (n_draws,)
 
     sq = np.abs(cf) ** 2
     se = sq.std() / np.sqrt(n_draws)
@@ -145,18 +150,17 @@ def test_subset_estimator_decomposition_identity(p, d):
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     xhat = forward(u, x)
 
-    pts = rng.integers(0, p, size=(7, d), dtype=np.int64)
-    pts[3] = pts[0]  # force a duplicate: multiplicity must be honored
-    t = SampleList(u, pts)
-    samples = x[t.flats]
+    t = rng.integers(0, p, size=(7, d), dtype=np.int64)
+    t[3] = t[0]  # force a duplicate: multiplicity must be honored
+    samples = x[flat_index(u, t)]
 
     for f in [0, 1, u.n - 1]:
         fv = unflat_index(u, f)
         oracle = 0.0 + 0.0j
         for g in range(u.n):
             diff = (fv - unflat_index(u, g)) % p
-            oracle += coefficient(diff, t) * xhat[g]
-        est = subset_transform_single(samples, t, f)
+            oracle += coefficient(u, diff, t) * xhat[g]
+        est = subset_transform_single(u, samples, t, f)
         assert_allclose(est, oracle, rtol=1e-10, atol=1e-10)
 
 
@@ -165,46 +169,55 @@ def test_subset_estimator_exact_with_all_points():
     u = Universe(p=3, d=2)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
-    t = SampleList(u, unflat_index(u, np.arange(u.n)))
+    t = unflat_index(u, np.arange(u.n))
     xhat = forward(u, x)
     for f in range(u.n):
-        assert_allclose(subset_transform_single(x[t.flats], t, f), xhat[f], atol=1e-12)
+        assert_allclose(subset_transform_single(u, x, t, f), xhat[f], atol=1e-12)
 
 
 def test_subset_estimator_rejects_length_mismatch():
     u = Universe(p=4, d=1)
-    t = draw_sample_list(u, 5, np.random.default_rng(0))
+    t = _points(u, 5, np.random.default_rng(0))
+    flats = flat_index(u, t)[None]
     with pytest.raises(ValueError):
-        subset_transform_single(np.zeros(4), t, 1)
+        subset_transform_single(u, np.zeros(4), t, 1)
     with pytest.raises(ValueError):
-        subset_transform_dense([np.zeros(6)], [t])
+        subset_transform_dense(u, np.zeros((1, 6)), flats)
     with pytest.raises(ValueError):
-        subset_transform_dense([np.zeros(5), np.zeros(4)], [t, t])
+        subset_transform_dense(u, np.zeros((2, 5)), flats)
+    with pytest.raises(ValueError):
+        subset_transform_dense(u, np.zeros((1, 0)), flats[:, :0])
 
 
-def test_dense_matches_single_everywhere():
-    # lists of different lengths (with duplicates) check each row's n/|T_r|
-    u = Universe(p=4, d=2)
-    rng = np.random.default_rng(31)
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(2, 5),
+    d=st.integers(1, 3),
+    r=st.integers(1, 4),
+    b=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_matches_single_everywhere(p, d, r, b, seed):
+    # R != B (with repeated points) checks the n/B scale of every row
+    assume(r != b)
+    u = Universe(p=p, d=d)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
-    lists = []
-    for size in (9, 5, 13):
-        pts = rng.integers(0, 4, size=(size, 2), dtype=np.int64)
-        pts[size - 1] = pts[1]
-        lists.append(SampleList(u, pts))
-    samples = [x[t.flats] for t in lists]
-    dense = subset_transform_dense(samples, lists)
-    assert dense.shape == (3, u.n)
-    for row, vals, t in zip(dense, samples, lists):
-        singles = np.array([subset_transform_single(vals, t, f) for f in range(u.n)])
+    lists = rng.integers(0, p, size=(r, b, d), dtype=np.int64)
+    lists[:, -1] = lists[:, 0]
+    flats = flat_index(u, lists)
+    dense = subset_transform_dense(u, x[flats], flats)
+    assert dense.shape == (r, u.n)
+    for row, t, f_row in zip(dense, lists, flats):
+        singles = [subset_transform_single(u, x[f_row], t, f) for f in range(u.n)]
         assert_allclose(row, singles, atol=1e-10)
 
 
 def test_zero_samples_give_zero_estimate():
     u = Universe(p=5, d=2)
-    t = draw_sample_list(u, 12, np.random.default_rng(2))
-    assert subset_transform_single(np.zeros(12), t, 7) == 0
-    assert_allclose(subset_transform_dense([np.zeros(12)], [t]), 0)
+    t = _points(u, 12, np.random.default_rng(2))
+    assert subset_transform_single(u, np.zeros(12), t, 7) == 0
+    assert_allclose(subset_transform_dense(u, np.zeros((1, 12)), flat_index(u, t)[None]), 0)
 
 
 # ----------------------------------------------------------- sample bundle
@@ -213,20 +226,24 @@ def test_zero_samples_give_zero_estimate():
 def test_bundle_shape_and_budget():
     u = Universe(p=8, d=2)
     bundle = SampleBundle.draw(u, h=3, r=4, b=10, entropy=77)
-    assert bundle.h == 3 and bundle.r == 4 and bundle.b == 10
-    assert bundle.total_points() == 3 * 4 * 10
-    assert bundle.all_flats().shape == (120,)
+    assert bundle.points.shape == (3, 4, 10, 2)
+    sig = AuditedSignal(u, np.zeros(u.n))
+    sig.grant_bundle(bundle)
+    assert sig.granted_total == 3 * 4 * 10
 
 
 def test_bundle_is_deterministic_and_lists_differ():
     u = Universe(p=8, d=2)
     b1 = SampleBundle.draw(u, h=2, r=3, b=20, entropy=5)
     b2 = SampleBundle.draw(u, h=2, r=3, b=20, entropy=5)
-    for i in range(2):
-        for j in range(3):
-            assert np.array_equal(b1.lists[i][j].points, b2.lists[i][j].points)
-    assert not np.array_equal(b1.lists[0][0].points, b1.lists[0][1].points)
-    assert not np.array_equal(b1.lists[0][0].points, b1.lists[1][0].points)
+    assert np.array_equal(b1.points, b2.points)
+    assert not np.array_equal(b1.points[0, 0], b1.points[0, 1])
+    assert not np.array_equal(b1.points[0, 0], b1.points[1, 0])
+    # list (i, j) is the (B, d) draw of its own stream, whatever the grid size
+    assert np.array_equal(
+        b1.points[1, 2],
+        stream_rng(5, DOMAIN_SAMPLES, 1, 2).integers(0, 8, size=(20, 2), dtype=np.int64),
+    )
 
 
 def test_bundle_rejects_empty_grid():
@@ -300,8 +317,10 @@ def test_audited_signal_bundle_grant():
     bundle = SampleBundle.draw(u, h=2, r=2, b=6, entropy=1)
     sig.grant_bundle(bundle)
     assert sig.granted_total == 24
-    sig.read(bundle.all_flats())
+    sig.read(flat_index(u, bundle.points).ravel())
     assert sig.all_granted_read()
+    with pytest.raises(ValueError, match="universe"):
+        sig.grant_bundle(SampleBundle.draw(Universe(p=2, d=2), h=1, r=1, b=6, entropy=1))
 
 
 # ------------------------------------------------------- noise tail bound
