@@ -10,7 +10,7 @@ nu/2 in modulus, and folds them into y. Round i runs at radius
 
 import numpy as np
 
-from sparsefourier.dft import Universe, densify
+from sparsefourier.dft import Universe
 from sparsefourier.reduction import linfinity_reduce
 from sparsefourier.sampling import AuditedSignal, SampleBundle
 from sparsefourier.signals import SignalSpec, gen_signal
@@ -28,18 +28,16 @@ nu = float(np.max(np.abs(xhat))) / 2.0
 print(f"k={spec.k} tones on n={u.n}, starting radius nu = {nu:.4f}")
 print(f"bundle: (H, R, B, d) = {bundle.points.shape} array, {signal.granted_total} samples\n")
 
-y = {}
+y = np.zeros(u.n, dtype=np.complex128)  # the spectrum so far, zero off its support
 for i in range(1, H + 1):
     radius = 2.0 ** (1 - i) * nu
-    out = linfinity_reduce(signal, y, bundle.points[i - 1], radius)
-    for f, v in out.z.items():
-        y[f] = y.get(f, 0) + v
-    resid = float(np.max(np.abs(xhat - densify(u, y))))
-    print(f"round {i}: radius {radius:.5f}  support {len(y):2d}  resid {resid:.6f}"
+    y += linfinity_reduce(signal, y, bundle.points[i - 1], radius).z
+    resid = float(np.max(np.abs(xhat - y)))
+    print(f"round {i}: radius {radius:.5f}  support {np.count_nonzero(y):2d}  resid {resid:.6f}"
           f"  (target <= {radius:.5f})")
 
 print(f"\nfinal residual {resid:.2e} vs 2^(1-H)*nu = {2.0 ** (1 - H) * nu:.2e}")
 print(f"audit: read all {signal.granted_total} declared points:"
       f" {signal.all_granted_read()}")
-assert set(y) == set(int(f) for f in np.flatnonzero(xhat))
+assert np.array_equal(np.flatnonzero(y), np.flatnonzero(xhat))
 print("support matches the planted tones exactly")

@@ -45,7 +45,7 @@ print(f"round-trip error on noise: {err:.3e}")
 # sparse evaluation agrees with the dense inverse on any subset of times
 y = {f: 2.0 - 1.0j, 0: 0.5 + 0.0j}
 points = rng.integers(0, u.p, size=(6, u.d))
-w = sparse_eval_time(u, y, points)
+w = sparse_eval_time(u, points, unflat_index(u, list(y)), np.array(list(y.values())))
 x_dense = inverse(u, densify(u, y))
 w_ref = x_dense[flat_index(u, points)]
 print(f"sparse eval vs dense inverse at 6 points: {np.max(np.abs(w - w_ref)):.3e}")

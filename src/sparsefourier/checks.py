@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .dft import Universe, flat_index, inverse, unflat_index
+from .dft import Universe, as_coords, flat_index, inverse, unflat_index
 from .grids import GridSpec, box_projects_uniquely
-from .sampling import _as_coords, coefficient
+from .sampling import coefficient
 
 __all__ = [
     "noise_bound_check",
@@ -42,7 +42,7 @@ def noise_bound_check(
 
     The second-moment bound puts the true rate at most 1/100.
     """
-    f_flat = int(flat_index(u, _as_coords(u, f)))
+    f_flat = int(flat_index(u, as_coords(u, f)))
     v_idx = np.asarray(list(v_set), dtype=np.int64)
     if f_flat in set(v_idx.tolist()):
         raise ValueError("f must not belong to V")
@@ -59,7 +59,7 @@ def noise_bound_check(
     # phase_f[t] = omega^(f.t); then each trial is a B-point average.
     g = inverse(u, mask) * np.sqrt(u.n)
     tcoords = unflat_index(u, np.arange(u.n))
-    phase_f = np.exp(2j * np.pi * ((tcoords @ _as_coords(u, f)) % u.p) / u.p)
+    phase_f = np.exp(2j * np.pi * ((tcoords @ as_coords(u, f)) % u.p) / u.p)
 
     idx = rng.integers(0, u.n, size=(trials, b))
     sums = (phase_f[idx] * g[idx]).mean(axis=1)

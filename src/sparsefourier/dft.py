@@ -23,6 +23,7 @@ __all__ = [
     "Universe",
     "flat_index",
     "unflat_index",
+    "as_coords",
     "forward",
     "inverse",
     "sparse_eval_time",
@@ -78,6 +79,18 @@ def unflat_index(u: Universe, flat) -> np.ndarray:
     return coords
 
 
+def as_coords(u: Universe, f) -> np.ndarray:
+    """One frequency, given as a flat index or as d coordinates, as a coordinate vector."""
+    if np.isscalar(f):
+        return unflat_index(u, int(f))
+    fv = np.asarray(f, dtype=np.int64)
+    if fv.shape != (u.d,):
+        raise ValueError(f"frequency must be a flat index or {u.d} coordinates")
+    if np.any(fv < 0) or np.any(fv >= u.p):
+        raise ValueError(f"frequency coordinate out of range [0, {u.p})")
+    return fv
+
+
 def forward(u: Universe, x: np.ndarray) -> np.ndarray:
     """Forward transform, positive exponent, unitary normalization.
 
@@ -101,28 +114,25 @@ def inverse(u: Universe, xhat: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def sparse_eval_time(u: Universe, y: dict[int, complex], points: np.ndarray) -> np.ndarray:
+def sparse_eval_time(u: Universe, points, freqs, values) -> np.ndarray:
     """Evaluate the inverse transform of a sparse spectrum at selected points.
 
-    y maps flat frequency index -> complex value. `points` is an (m, d) array
-    of time vectors. Returns the length-m array
+    The spectrum holds values[j] at the frequency with coordinates freqs[j]
+    ((s, d) and (s,) arrays). `points` is an (m, d) array of time vectors.
+    Returns the length-m array
 
-        w_t = (1/sqrt(n)) * sum_{f in supp(y)} y_f * omega^(-f.t)
+        w_t = (1/sqrt(n)) * sum_j values[j] * omega^(-freqs[j].t)
 
-    identical to inverse(densify(y)) sampled at the points, but at cost
-    O(m * |supp(y)| * d) and without touching any other time coordinate.
+    identical to the dense inverse transform sampled at the points, but at
+    cost O(m * s * d) and without touching any other time coordinate.
     """
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != u.d:
         raise ValueError(f"expected (m, {u.d}) points array, got {pts.shape}")
-    if not y:
-        return np.zeros(len(pts), dtype=np.complex128)
-    freqs = unflat_index(u, np.fromiter(y.keys(), dtype=np.int64, count=len(y)))
-    vals = np.fromiter(y.values(), dtype=np.complex128, count=len(y))
-    # phases (m, k): f.t mod p keeps the integers small before the exp
-    phase = (pts @ freqs.T) % u.p
+    # phases (m, s): f.t mod p keeps the integers small before the exp
+    phase = (pts @ np.asarray(freqs).T) % u.p
     kernel = np.exp(-2j * np.pi * phase / u.p)
-    return (kernel @ vals) / np.sqrt(u.n)
+    return (kernel @ values) / np.sqrt(u.n)
 
 
 def densify(u: Universe, y: dict[int, complex]) -> np.ndarray:

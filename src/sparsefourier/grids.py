@@ -139,7 +139,7 @@ def draw_good_shift(
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    centers = np.fromiter(centers, dtype=np.complex128)
+    centers = np.asarray(centers, dtype=np.complex128)
     grid = GridSpec(params.r_g)
     if centers.size and 2 * params.r_b >= params.r_g:
         raise GoodShiftError(

@@ -130,18 +130,11 @@ class Schedule:
     r: int
     h: int
     l: int
-    log2_rstar: int
-    rstar_pow: float
     nus: tuple
 
     @property
     def budget(self) -> int:
         return self.b * self.r * self.h
-
-    @property
-    def final_target(self) -> float:
-        """Residual bound after the last rung, 2^(1-H) * nu_L."""
-        return 2.0 ** (1 - self.h) * self.nus[-1]
 
 
 def build_schedule(
@@ -184,15 +177,7 @@ def build_schedule(
         ell = log2_rstar - h + 1
     rstar_pow = float(2.0**log2_rstar)
     nus = tuple(2.0 ** (-i) * mu * rstar_pow for i in range(1, ell + 1))
-    return Schedule(
-        b=b,
-        r=r,
-        h=h,
-        l=ell,
-        log2_rstar=log2_rstar,
-        rstar_pow=rstar_pow,
-        nus=nus,
-    )
+    return Schedule(b=b, r=r, h=h, l=ell, nus=nus)
 
 
 class ShiftFailure(RuntimeError):
@@ -233,17 +218,6 @@ class RecoveryResult:
         return max((d.shift_attempts for d in self.diagnostics), default=0)
 
 
-def _merge_dropping_zeros(y: dict, z: dict) -> dict:
-    out = dict(y)
-    for f, v in z.items():
-        s = out.get(f, 0) + v
-        if s == 0:
-            out.pop(f, None)
-        else:
-            out[f] = s
-    return out
-
-
 def _drive(
     x: AuditedSignal,
     schedule: Schedule,
@@ -255,22 +229,29 @@ def _drive(
     u = x.universe
     # the solve's tracemalloc peak: bundle coordinates and their flat indices, three
     # (R, n) complex matrices per round (scatter, transform, scaled copy), per-list
-    # sample arrays, and an allowance for numpy's first-call caches
-    need = schedule.budget * (u.d + 1) * 8 + schedule.r * (48 * u.n + 64 * schedule.b) + 2**18
+    # sample arrays, the working spectra y, z and y + z (three length-n complex
+    # vectors), and an allowance for numpy's first-call caches
+    need = (
+        schedule.budget * (u.d + 1) * 8
+        + schedule.r * (48 * u.n + 64 * schedule.b)
+        + 48 * u.n
+        + 2**18
+    )
     require_memory(need, f"B*R*H = {schedule.budget} samples and ({schedule.r}, {u.n}) matrices")
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     x.grant_bundle(bundle)
     cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)
 
-    y: dict = {}
+    # y is a length-n spectrum, zero off its support
+    y = np.zeros(u.n, dtype=np.complex128)
     diags = []
     for ell in range(1, schedule.l + 1):
         nu = schedule.nus[ell - 1]
-        z = reduce_h_rounds(x, y, bundle, nu, schedule.h)
-        w = _merge_dropping_zeros(y, z)
+        w = y + reduce_h_rounds(x, y, bundle, nu, schedule.h)
+        supp = np.flatnonzero(w)
         if ell == schedule.l:
             y = w
-            diags.append(IterationDiag(nu, 0j, 0, len(w), len(w)))
+            diags.append(IterationDiag(nu, 0j, 0, len(supp), len(supp)))
             break
 
         shift = 0j
@@ -281,18 +262,17 @@ def _drive(
             )
             try:
                 shift, attempts = draw_good_shift(
-                    w.values(), params, stream_rng(entropy, DOMAIN_SHIFT, ell), cap
+                    w[supp], params, stream_rng(entropy, DOMAIN_SHIFT, ell), cap
                 )
             except GoodShiftError as exc:
                 raise ShiftFailure(ell, exc.attempts, exc.misconfigured) from exc
 
-        values = np.fromiter(w.values(), np.complex128, len(w))
-        snapped = project(values + shift, GridSpec(grid_scale * nu))
-        y = {f: complex(v) for f, v in zip(w, snapped) if v != 0}
-        diags.append(IterationDiag(nu, shift, attempts, len(w), len(y)))
+        y = np.zeros_like(w)
+        y[supp] = project(w[supp] + shift, GridSpec(grid_scale * nu))
+        diags.append(IterationDiag(nu, shift, attempts, len(supp), np.count_nonzero(y)))
 
     return RecoveryResult(
-        y=y,
+        y={int(f): complex(y[f]) for f in np.flatnonzero(y)},
         diagnostics=tuple(diags),
         samples_used=math.prod(bundle.points.shape[:-1]),
         schedule=schedule,

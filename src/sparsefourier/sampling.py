@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import Universe, flat_index, forward, unflat_index
+from .dft import Universe, as_coords, flat_index, forward
 
 __all__ = [
     "SampleBundle",
@@ -79,10 +79,11 @@ class AuditedSignal:
     """Signal accessor that only serves declared (granted) time points.
 
     Recovery declares its sample bundle up front via grant(); any read at an
-    undeclared flat index raises AuditViolation. The distinct-read counter
-    makes the sample-budget claim checkable after a run. Reads are plain
-    array lookups guarded by the interpreter lock; external synchronization
-    is only needed if grant() races with reads.
+    undeclared or out-of-range flat index raises AuditViolation.
+    granted_total and all_granted_read() make the sample-budget claim
+    checkable after a run. Reads are plain array lookups guarded by the
+    interpreter lock; external synchronization is only needed if grant()
+    races with reads.
     """
 
     def __init__(self, u: Universe, values: np.ndarray):
@@ -101,7 +102,9 @@ class AuditedSignal:
     def grant(self, flats: np.ndarray) -> None:
         """Declare flat time indices (with multiplicity) as readable."""
         idx = np.asarray(flats, dtype=np.int64)
-        self._allowed[idx] = True  # IndexError on out-of-range is fine
+        if np.any((idx < 0) | (idx >= self.universe.n)):
+            raise ValueError(f"granted flat index out of range [0, {self.universe.n})")
+        self._allowed[idx] = True
         self._granted_total += len(idx)
 
     def grant_bundle(self, bundle: SampleBundle) -> None:
@@ -111,7 +114,8 @@ class AuditedSignal:
 
     def read(self, flats: np.ndarray) -> np.ndarray:
         idx = np.asarray(flats, dtype=np.int64)
-        bad = ~self._allowed[idx]
+        inside = np.clip(idx, 0, self.universe.n - 1)
+        bad = (inside != idx) | ~self._allowed[inside]  # out of range counts as undeclared
         if bad.any():
             offenders = np.unique(idx[bad])[:8]
             raise AuditViolation(
@@ -125,28 +129,9 @@ class AuditedSignal:
     def granted_total(self) -> int:
         return self._granted_total
 
-    @property
-    def granted_distinct(self) -> int:
-        return int(self._allowed.sum())
-
-    @property
-    def distinct_reads(self) -> int:
-        return int(self._touched.sum())
-
     def all_granted_read(self) -> bool:
         """True when every declared point was actually consumed."""
         return bool(np.array_equal(self._touched, self._allowed))
-
-
-def _as_coords(u: Universe, f) -> np.ndarray:
-    if np.isscalar(f):
-        return unflat_index(u, int(f))
-    fv = np.asarray(f, dtype=np.int64)
-    if fv.shape != (u.d,):
-        raise ValueError(f"frequency must be a flat index or {u.d} coordinates")
-    if np.any(fv < 0) or np.any(fv >= u.p):
-        raise ValueError(f"frequency coordinate out of range [0, {u.p})")
-    return fv
 
 
 def coefficient(u: Universe, f, points) -> complex | np.ndarray:
@@ -157,7 +142,7 @@ def coefficient(u: Universe, f, points) -> complex | np.ndarray:
     estimator reads the true spectrum through this leakage kernel. points
     is a (..., B, d) array of lists; the result has its leading shape.
     """
-    phase = (np.asarray(points) @ _as_coords(u, f)) % u.p
+    phase = (np.asarray(points) @ as_coords(u, f)) % u.p
     c = np.exp(2j * np.pi * phase / u.p).mean(axis=-1)
     return complex(c) if c.ndim == 0 else c
 
@@ -168,7 +153,7 @@ def subset_transform_single(u: Universe, samples, points, f) -> complex:
     pts = np.asarray(points)
     if pts.ndim != 2 or vals.shape != (len(pts),):
         raise ValueError(f"got samples of shape {vals.shape} for points of shape {pts.shape}")
-    phase = (pts @ _as_coords(u, f)) % u.p
+    phase = (pts @ as_coords(u, f)) % u.p
     est = np.exp(2j * np.pi * phase / u.p) @ vals
     return complex(est * np.sqrt(u.n) / len(pts))
 

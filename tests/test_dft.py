@@ -174,14 +174,15 @@ def test_shape_mismatch_errors():
 def test_sparse_eval_empty():
     u = Universe(5, 2)
     pts = np.zeros((7, 2), dtype=np.int64)
-    assert_allclose(sparse_eval_time(u, {}, pts), np.zeros(7))
+    none = np.zeros((0, u.d), dtype=np.int64)
+    assert_allclose(sparse_eval_time(u, pts, none, np.zeros(0)), np.zeros(7))
 
 
 def test_sparse_eval_constant_spectrum():
     u = Universe(5, 2)
     rng = np.random.default_rng(3)
     pts = rng.integers(0, u.p, size=(10, u.d))
-    w = sparse_eval_time(u, {0: np.sqrt(u.n)}, pts)
+    w = sparse_eval_time(u, pts, np.zeros((1, u.d), dtype=np.int64), np.array([np.sqrt(u.n)]))
     assert_allclose(w, np.ones(10), atol=1e-12)
 
 
@@ -189,11 +190,12 @@ def test_sparse_eval_matches_dense_inverse():
     u = Universe(7, 3)
     rng = np.random.default_rng(19)
     freqs = rng.choice(u.n, size=3, replace=False)
-    y = {int(f): complex(rng.standard_normal(), rng.standard_normal()) for f in freqs}
+    vals = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     pts = rng.integers(0, u.p, size=(10, u.d))
-    dense = inverse(u, densify(u, y))
-    expected = dense[flat_index(u, pts)]
-    assert_allclose(sparse_eval_time(u, y, pts), expected, atol=1e-9)
+    dense = np.zeros(u.n, dtype=np.complex128)
+    dense[freqs] = vals
+    expected = inverse(u, dense)[flat_index(u, pts)]
+    assert_allclose(sparse_eval_time(u, pts, unflat_index(u, freqs), vals), expected, atol=1e-9)
 
 
 def test_sparse_eval_rejects_bad_freq():
@@ -201,7 +203,7 @@ def test_sparse_eval_rejects_bad_freq():
     with pytest.raises(ValueError):
         densify(u, {9: 1.0})
     with pytest.raises(ValueError):
-        sparse_eval_time(u, {0: 1.0}, np.zeros((2, 3), dtype=np.int64))
+        sparse_eval_time(u, np.zeros((2, 3), dtype=np.int64), np.zeros((1, 2)), np.ones(1))
 
 
 def test_densify_roundtrip():

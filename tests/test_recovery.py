@@ -26,6 +26,7 @@ from sparsefourier.recovery import (
 )
 from sparsefourier.reduction import reduce_h_rounds
 from sparsefourier.sampling import AuditedSignal, SampleBundle
+from sparsefourier.signals import SignalSpec, gen_signal, noise_floor_value, oracle_top_k
 
 
 def _plant(u, entries):
@@ -121,20 +122,22 @@ def test_schedule_doubling_rstar_keeps_budget():
 
 
 def test_schedule_rounds_rstar_up_to_power_of_two():
-    s = build_schedule(DESK_PROFILE, n=64, k=1, mu=1.0, rstar=5.0)
-    assert s.rstar_pow == 8.0 and s.log2_rstar == 3
-    t = build_schedule(DESK_PROFILE, n=64, k=1, mu=1.0, rstar=8.0)
-    assert t.rstar_pow == 8.0
+    # nu_1 = mu * R* / 2 with R* rounded up to 8
+    mu = 1.0
+    s = build_schedule(DESK_PROFILE, n=64, k=1, mu=mu, rstar=5.0)
+    assert s.nus[0] * 2 / mu == 8.0
+    t = build_schedule(DESK_PROFILE, n=64, k=1, mu=mu, rstar=8.0)
+    assert t.nus[0] * 2 / mu == 8.0
 
 
 def test_schedule_ladder_halves_and_ends_at_mu():
     mu = 0.003
     s = build_schedule(DESK_PROFILE, n=4096, k=2, mu=mu, rstar=2**22)
-    assert s.l == s.log2_rstar - s.h + 1
+    assert s.l == 22 - s.h + 1
     for a, b in zip(s.nus, s.nus[1:]):
         assert b == a / 2
-    assert s.nus[0] == mu * s.rstar_pow / 2
-    assert s.final_target == mu  # exact: only power-of-two scalings
+    assert s.nus[0] == mu * 2**22 / 2
+    assert 2.0 ** (1 - s.h) * s.nus[-1] == mu  # exact: only power-of-two scalings
 
 
 @pytest.mark.parametrize(
@@ -221,6 +224,69 @@ def test_recovery_is_deterministic():
     a, b = run(), run()
     assert a.y == b.y
     assert a.diagnostics == b.diagnostics
+
+
+# Recorded outputs of three small solves, so that a refactor meant to keep
+# them shows when it does not. Each entry: y, then per rung (nu, shift,
+# shift_attempts, support_after_reduce, support_after_projection), then
+# samples_used. Shifts and supports must match exactly; y values may move
+# by float reassociation of the sums only, so within 1e-12 * max|y|.
+PINNED = {
+    "tones-main": (
+        {13: 1 + 0j, 40: 0.6 - 0.3j},
+        [
+            (0.5, 0.004868908089472261 - 0.0062129621897644375j, 1, 2, 2),
+            (0.25, 0.0036188906278510633 + 0.004778985982041018j, 1, 2, 2),
+            (0.125, 0.0013307464599381729 - 0.0019103146438273068j, 1, 2, 2),
+            (0.0625, -0.0005750875070911271 + 0.0002999693700079856j, 1, 2, 2),
+            (0.03125, 0.00034840142048383886 + 0.0003732013844291376j, 1, 2, 2),
+            (0.015625, 0j, 0, 2, 2),
+        ],
+        5760,
+    ),
+    "tones-warmup": (
+        {13: 1 - 1.3019764519768672e-16j, 40: 0.6 - 0.3j},
+        [(2.0 ** (-i), 0j, 0, 2, 2) for i in range(1, 17)],
+        1920,
+    ),
+    "spec-main": (
+        {
+            100: 0.9929600566453416 + 0.12820517813806737j,
+            124: -0.6214242182226752 - 0.7820026158456229j,
+            160: 0.274236946349524 + 0.9612665605677666j,
+            200: 0.908310088473277 + 0.41744746258853505j,
+        },
+        [(0.9682888879237285, 0j, 0, 4, 4)],
+        8192,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_solver_outputs_are_pinned(case):
+    if case.startswith("tones"):
+        # mu = 2^-20 and R* = 2^20: 6 rungs under the main driver, 16 under the warm-up one
+        u = Universe(p=8, d=2)
+        _, x = _plant(u, {13: 1.0 + 0j, 40: 0.6 - 0.3j})
+        k, mu, rstar, seed = 2, 2.0**-20, 2.0**20, 5
+    else:
+        spec = SignalSpec(16, 2, 4, 1e-3, 7)
+        u = spec.universe
+        x, _ = gen_signal(spec)
+        _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=DESK_PROFILE.mu_min)
+        k, mu, seed = spec.k, noise_floor_value(x, mu, DESK_PROFILE.mu_min), spec.seed
+    warmup = case.endswith("warmup")
+    driver = fourier_sparse_recovery_by_projection if warmup else fourier_sparse_recovery
+    sig = AuditedSignal(u, x)
+    res = driver(sig, k, mu=mu, rstar=rstar, config=DESK_PROFILE, rng=seed)
+
+    y, diags, used = PINNED[case]
+    assert sorted(res.y) == sorted(y)
+    scale = max(abs(v) for v in y.values())
+    assert all(abs(res.y[f] - v) <= 1e-12 * scale for f, v in y.items())
+    assert [dataclasses.astuple(d) for d in res.diagnostics] == diags
+    assert res.samples_used == sig.granted_total == used
+    assert sig.all_granted_read()
 
 
 def test_shift_failure_is_structured(monkeypatch):
@@ -328,8 +394,8 @@ def test_warmup_single_rung_equals_reduce_rounds():
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     sig2 = AuditedSignal(u, x)
     sig2.grant_bundle(bundle)
-    z = reduce_h_rounds(sig2, {}, bundle, schedule.nus[0], schedule.h)
-    assert res.y == z
+    z = reduce_h_rounds(sig2, np.zeros(u.n), bundle, schedule.nus[0], schedule.h)
+    assert res.y == {int(f): complex(z[f]) for f in np.flatnonzero(z)}
 
 
 def test_warmup_hits_noise_target_on_tall_ladder():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparsefourier.dft import Universe, densify, flat_index, inverse, sparse_eval_time
+from sparsefourier.dft import Universe, flat_index, inverse, sparse_eval_time, unflat_index
 from sparsefourier.reduction import linfinity_reduce, reduce_h_rounds
 from sparsefourier.sampling import AuditedSignal, SampleBundle, subset_transform_single
 
@@ -29,8 +29,11 @@ def _draw_lists(u, r, b, seed):
     return np.stack([rng.integers(0, u.p, size=(b, u.d), dtype=np.int64) for _ in range(r)])
 
 
-def _residual_linf(u, xhat, approx):
-    return np.max(np.abs(xhat - densify(u, approx)))
+def _spectrum(u, entries):
+    y = np.zeros(u.n, dtype=np.complex128)
+    for f, v in entries.items():
+        y[f] = v
+    return y
 
 
 def test_zero_residual_yields_empty_z():
@@ -41,18 +44,16 @@ def test_zero_residual_yields_empty_z():
     xhat = np.zeros(u.n, dtype=np.complex128)
     xhat[support] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     x = _signal_from_spectrum(u, xhat)
-    y = {f: complex(xhat[f]) for f in support}
-
     lists = _draw_lists(u, r=5, b=16, seed=1)
-    out = linfinity_reduce(_audited(u, x, lists), y, lists, nu=0.3)
-    assert out.z == {}
+    out = linfinity_reduce(_audited(u, x, lists), xhat, lists, nu=0.3)
+    assert not out.z.any()
 
 
 def test_zero_signal_yields_empty_z():
     u = Universe(p=4, d=3)
     lists = _draw_lists(u, r=5, b=16, seed=2)
-    out = linfinity_reduce(_audited(u, np.zeros(u.n), lists), {}, lists, nu=1.0)
-    assert out.z == {}
+    out = linfinity_reduce(_audited(u, np.zeros(u.n), lists), np.zeros(u.n), lists, nu=1.0)
+    assert not out.z.any()
 
 
 def test_one_sparse_signal_recovered_in_one_round():
@@ -63,8 +64,9 @@ def test_one_sparse_signal_recovered_in_one_round():
     x = _signal_from_spectrum(u, xhat)
 
     lists = _draw_lists(u, r=9, b=64, seed=3)
-    out = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=0.4)
-    assert set(out.z) == {f_star}
+    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=0.4)
+    assert out.z.shape == (u.n,)
+    assert np.flatnonzero(out.z).tolist() == [f_star]
     assert abs(out.z[f_star] - xhat[f_star]) <= 0.4
 
 
@@ -77,14 +79,14 @@ def test_thresholding_and_median_support():
     nu = 0.5
 
     lists = _draw_lists(u, r=7, b=32, seed=6)
-    out = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=nu)
-    assert out.eta.shape == (u.n,)
-    assert len(out.z) > 0
-    for f, v in out.z.items():
-        assert abs(v) >= nu / 2
-        assert v == complex(out.eta[f])
-    below = [f for f in range(u.n) if abs(out.eta[f]) < nu / 2]
-    assert all(f not in out.z for f in below)
+    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=nu)
+    assert out.eta.shape == out.z.shape == (u.n,)
+    kept = np.flatnonzero(out.z)
+    assert len(kept) > 0
+    assert np.all(np.abs(out.z[kept]) >= nu / 2)
+    assert np.array_equal(out.z[kept], out.eta[kept])
+    below = np.abs(out.eta) < nu / 2
+    assert not out.z[below].any()
 
 
 @pytest.mark.parametrize("time_eval", ["sparse", "dense"])
@@ -95,15 +97,15 @@ def test_medians_match_per_list_estimates(time_eval):
     u = Universe(p=4, d=2)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
-    y = {1: 0.3 + 0.1j, 7: -0.2j}
+    y = _spectrum(u, {1: 0.3 + 0.1j, 7: -0.2j})
     lists = _draw_lists(u, r=6, b=10, seed=8)
 
     out = linfinity_reduce(_audited(u, x, lists), y, lists, nu=0.1)
 
     def y_at(t):
         if time_eval == "sparse":
-            return sparse_eval_time(u, y, t)
-        return inverse(u, densify(u, y))[flat_index(u, t)]
+            return sparse_eval_time(u, t, unflat_index(u, [1, 7]), y[[1, 7]])
+        return inverse(u, y)[flat_index(u, t)]
 
     per_list = np.array(
         [
@@ -121,20 +123,29 @@ def test_medians_match_per_list_estimates(time_eval):
 def test_rejects_empty_lists_and_mismatched_universe():
     u = Universe(p=4, d=1)
     sig = AuditedSignal(u, np.zeros(4))
+    y = np.zeros(u.n)
     with pytest.raises(ValueError):
-        linfinity_reduce(sig, {}, (), nu=0.5)
+        linfinity_reduce(sig, y, (), nu=0.5)
     with pytest.raises(ValueError):
-        linfinity_reduce(sig, {}, np.zeros((0, 4, 1), dtype=np.int64), nu=0.5)
+        linfinity_reduce(sig, y, np.zeros((0, 4, 1), dtype=np.int64), nu=0.5)
     other = _draw_lists(Universe(p=4, d=2), r=2, b=4, seed=0)
     with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(sig, {}, other, nu=0.5)
+        linfinity_reduce(sig, y, other, nu=0.5)
+
+
+@pytest.mark.parametrize("y", [np.zeros(5), np.zeros((1, 4)), {}], ids=["long", "2d", "dict"])
+def test_rejects_y_that_is_not_a_length_n_array(y):
+    u = Universe(p=4, d=1)
+    lists = _draw_lists(u, r=2, b=4, seed=0)
+    with pytest.raises(ValueError, match="length-4 spectrum"):
+        linfinity_reduce(_audited(u, np.zeros(4), lists), y, lists, nu=0.5)
 
 
 def test_rejects_nonpositive_nu():
     u = Universe(p=4, d=1)
     lists = _draw_lists(u, r=2, b=4, seed=0)
     with pytest.raises(ValueError):
-        linfinity_reduce(_audited(u, np.zeros(4), lists), {}, lists, nu=0.0)
+        linfinity_reduce(_audited(u, np.zeros(4), lists), np.zeros(4), lists, nu=0.0)
 
 
 def test_determinism():
@@ -142,9 +153,9 @@ def test_determinism():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     lists = _draw_lists(u, r=5, b=20, seed=13)
-    a = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=0.6)
-    b = linfinity_reduce(_audited(u, x, lists), {}, lists, nu=0.6)
-    assert a.z == b.z
+    a = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=0.6)
+    b = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=0.6)
+    assert np.array_equal(a.z, b.z)
 
 
 # ------------------------------------------------------------- multi-round
@@ -159,11 +170,11 @@ def test_single_round_equals_direct_call():
 
     sig1 = AuditedSignal(u, x)
     sig1.grant_bundle(bundle)
-    z_rounds = reduce_h_rounds(sig1, {}, bundle, nu=0.8, h=1)
+    z_rounds = reduce_h_rounds(sig1, np.zeros(u.n), bundle, nu=0.8, h=1)
 
     sig2 = _audited(u, x, lists)
-    direct = linfinity_reduce(sig2, {}, lists, nu=0.8)
-    assert z_rounds == direct.z
+    direct = linfinity_reduce(sig2, np.zeros(u.n), lists, nu=0.8)
+    assert np.array_equal(z_rounds, direct.z)
 
 
 def test_rounds_validate_h():
@@ -172,9 +183,9 @@ def test_rounds_validate_h():
     sig = AuditedSignal(u, np.zeros(4))
     sig.grant_bundle(bundle)
     with pytest.raises(ValueError):
-        reduce_h_rounds(sig, {}, bundle, nu=1.0, h=3)
+        reduce_h_rounds(sig, np.zeros(4), bundle, nu=1.0, h=3)
     with pytest.raises(ValueError):
-        reduce_h_rounds(sig, {}, bundle, nu=1.0, h=0)
+        reduce_h_rounds(sig, np.zeros(4), bundle, nu=1.0, h=0)
 
 
 def test_noiseless_two_sparse_residual_walks_down():
@@ -191,15 +202,13 @@ def test_noiseless_two_sparse_residual_walks_down():
     sig = AuditedSignal(u, x)
     sig.grant_bundle(bundle)
 
-    z: dict = {}
+    z = np.zeros(u.n, dtype=np.complex128)
     for i in range(1, h_rounds + 1):
-        out = linfinity_reduce(sig, dict(z), bundle.points[i - 1], nu=nu * 2.0 ** (1 - i))
-        for f, v in out.z.items():
-            z[f] = z.get(f, 0) + v
-        assert _residual_linf(u, xhat, z) <= 2.0 ** (1 - i) * nu + 1e-12
+        z += linfinity_reduce(sig, z, bundle.points[i - 1], nu=nu * 2.0 ** (1 - i)).z
+        assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - i) * nu + 1e-12
 
-    assert _residual_linf(u, xhat, z) <= 2.0 ** (1 - h_rounds) * nu
-    assert set(z) == {100, 2741}
+    assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - h_rounds) * nu
+    assert np.flatnonzero(z).tolist() == [100, 2741]
 
 
 def test_reduce_h_rounds_end_to_end_three_sparse():
@@ -213,8 +222,8 @@ def test_reduce_h_rounds_end_to_end_three_sparse():
     bundle = SampleBundle.draw(u, h=h_rounds, r=9, b=96, entropy=31)
     sig = AuditedSignal(u, x)
     sig.grant_bundle(bundle)
-    z = reduce_h_rounds(sig, {}, bundle, nu=nu, h=h_rounds)
+    z = reduce_h_rounds(sig, np.zeros(u.n), bundle, nu=nu, h=h_rounds)
 
-    assert _residual_linf(u, xhat, z) <= 2.0 ** (1 - h_rounds) * nu
+    assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - h_rounds) * nu
     assert sig.all_granted_read()
     assert sig.granted_total == h_rounds * 9 * 96

@@ -74,11 +74,11 @@ def test_draw_is_uniform_over_cells():
 def test_sample_list_validates_points():
     # a row of lists must fit the signal's universe: d coordinates in [0, p)
     u = Universe(p=4, d=2)
-    sig = AuditedSignal(u, np.zeros(u.n))
+    sig, y = AuditedSignal(u, np.zeros(u.n)), np.zeros(u.n)
     with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(sig, {}, np.zeros((1, 3, 5), dtype=np.int64), nu=1.0)
+        linfinity_reduce(sig, y, np.zeros((1, 3, 5), dtype=np.int64), nu=1.0)
     with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(sig, {}, np.array([[[0, 4]]]), nu=1.0)  # coordinate out of range
+        linfinity_reduce(sig, y, np.array([[[0, 4]]]), nu=1.0)  # coordinate out of range
 
 
 def test_stream_rng_reproducible_and_disjoint():
@@ -264,8 +264,6 @@ def test_audited_signal_serves_granted_reads():
     out = sig.read(np.array([3, 0, 7, 3]))
     assert_allclose(out, x[[3, 0, 7, 3]])
     assert sig.granted_total == 4
-    assert sig.granted_distinct == 3
-    assert sig.distinct_reads == 3
     assert sig.all_granted_read()
 
 
@@ -289,13 +287,26 @@ def test_audited_signal_rejects_read_before_grant():
 
 
 def test_audited_signal_rejects_undeclared_index():
+    # an index outside [0, n) is undeclared too: never wrapped, never an IndexError
     u = Universe(p=4, d=1)
-    sig = AuditedSignal(u, np.arange(4, dtype=float))
-    sig.grant(np.array([0, 1]))
-    with pytest.raises(AuditViolation, match="undeclared"):
-        sig.read(np.array([1, 2]))
-    # the failed read must not mark anything as touched
-    assert sig.distinct_reads == 0
+    for bad in ([1, 2], [-1], [1, 9]):
+        sig = AuditedSignal(u, np.arange(4, dtype=float))
+        sig.grant(np.array([0, 1, 3]))
+        with pytest.raises(AuditViolation, match="undeclared"):
+            sig.read(np.array(bad))
+        # the failed read must not mark anything as touched: 1 stays unread
+        sig.read(np.array([0, 3]))
+        assert not sig.all_granted_read()
+
+
+@pytest.mark.parametrize("bad", [[-4], [0, 4]], ids=["negative", "past-end"])
+def test_audited_signal_rejects_out_of_range_grant(bad):
+    u = Universe(p=4, d=1)
+    sig = AuditedSignal(u, np.zeros(4))
+    with pytest.raises(ValueError, match="out of range"):
+        sig.grant(np.array(bad))
+    assert sig.granted_total == 0
+    assert sig.all_granted_read()  # nothing was declared, index 0 included
 
 
 def test_audited_signal_grants_accumulate():
@@ -304,7 +315,6 @@ def test_audited_signal_grants_accumulate():
     sig.grant(np.array([1, 2]))
     sig.grant(np.array([2, 5]))
     assert sig.granted_total == 4
-    assert sig.granted_distinct == 3
     sig.read(np.array([5, 1]))
     assert not sig.all_granted_read()
     sig.read(np.array([2]))
