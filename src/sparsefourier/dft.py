@@ -129,10 +129,10 @@ def sparse_eval_time(u: Universe, points, freqs, values) -> np.ndarray:
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != u.d:
         raise ValueError(f"expected (m, {u.d}) points array, got {pts.shape}")
-    # phases (m, s): f.t mod p keeps the integers small before the exp
+    # phases (m, s): f.t mod p indexes a table of the p roots omega^-j
     phase = (pts @ np.asarray(freqs).T) % u.p
-    kernel = np.exp(-2j * np.pi * phase / u.p)
-    return (kernel @ values) / np.sqrt(u.n)
+    roots = np.exp(-2j * np.pi * np.arange(u.p) / u.p)
+    return (roots[phase] @ values) / np.sqrt(u.n)
 
 
 def densify(u: Universe, y: dict[int, complex]) -> np.ndarray:

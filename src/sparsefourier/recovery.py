@@ -18,8 +18,8 @@ uses a fixed small H; it is only meant for k = O(log n).
 
 All sample positions are drawn up front as one SampleBundle and declared
 to the audited signal, so a completed run has read exactly B*R*H points.
-A run whose bundle and estimate matrix would not fit in physical memory
-is refused before anything is drawn.
+A run whose bundle and slab matrices would not fit in physical memory is
+refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dft import Universe
 from .grids import GoodShiftError, GridSpec, ShiftParams, draw_good_shift, project
-from .reduction import reduce_h_rounds
+from .reduction import reduce_h_rounds, slab_universe
 from .sampling import DOMAIN_SHIFT, AuditedSignal, SampleBundle, stream_rng
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "build_schedule",
     "ceil_log2",
     "require_memory",
+    "solve_memory",
     "fourier_sparse_recovery",
     "fourier_sparse_recovery_by_projection",
 ]
@@ -120,6 +122,13 @@ def require_memory(need: float, what: str) -> None:
             f"{what} need {need / 2**30:.3g} GiB,"
             f" more than the {have / 2**30:.3g} GiB of physical memory"
         )
+
+
+def solve_memory(u: Universe, schedule: Schedule) -> int:
+    """Tracemalloc peak of a solve: bundle and flat indices, a round's three (R, s) slab matrices
+    and (R, B) samples, six length-n complex vectors, 1 MiB a first solve loads (numpy.fft)."""
+    per_round = schedule.r * (48 * slab_universe(u).n + 64 * schedule.b)
+    return schedule.budget * (u.d + 1) * 8 + per_round + 96 * u.n + 2**20
 
 
 @dataclass(frozen=True)
@@ -227,17 +236,7 @@ def _drive(
     grid_scale: float,
 ) -> RecoveryResult:
     u = x.universe
-    # the solve's tracemalloc peak: bundle coordinates and their flat indices, three
-    # (R, n) complex matrices per round (scatter, transform, scaled copy), per-list
-    # sample arrays, the working spectra y, z and y + z (three length-n complex
-    # vectors), and an allowance for numpy's first-call caches
-    need = (
-        schedule.budget * (u.d + 1) * 8
-        + schedule.r * (48 * u.n + 64 * schedule.b)
-        + 48 * u.n
-        + 2**18
-    )
-    require_memory(need, f"B*R*H = {schedule.budget} samples and ({schedule.r}, {u.n}) matrices")
+    require_memory(solve_memory(u, schedule), f"B*R*H = {schedule.budget} samples and their solve")
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     x.grant_bundle(bundle)
     cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)

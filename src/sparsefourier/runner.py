@@ -21,8 +21,11 @@ import numpy as np
 
 from .recovery import (
     RecoveryConfig,
+    build_schedule,
     fourier_sparse_recovery,
     fourier_sparse_recovery_by_projection,
+    require_memory,
+    solve_memory,
 )
 from .sampling import AuditedSignal
 from .signals import Metrics, SignalSpec, compute_metrics, gen_signal, noise_floor_value, oracle_top_k
@@ -63,6 +66,9 @@ def run_single_trial(
     x, xhat = gen_signal(dataclasses.replace(spec, seed=trial_seed))
     _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=config.mu_min)
     floor = noise_floor_value(x, mu, mu_min_scale=config.mu_min)
+    # x, xhat and the audited copy with its two masks stay alive through the solve
+    schedule = build_schedule(config, u.n, spec.k, floor, rstar, warmup=algorithm == "warmup")
+    require_memory(50 * u.n + solve_memory(u, schedule), f"a trial on n = {u.n} points would")
 
     sig = AuditedSignal(u, x)
     t0 = time.perf_counter()

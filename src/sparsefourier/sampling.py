@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import Universe, as_coords, flat_index, forward
+from .dft import Universe, as_coords, flat_index
 
 __all__ = [
     "SampleBundle",
@@ -32,7 +32,6 @@ __all__ = [
     "stream_rng",
     "coefficient",
     "subset_transform_single",
-    "subset_transform_dense",
 ]
 
 
@@ -114,9 +113,9 @@ class AuditedSignal:
 
     def read(self, flats: np.ndarray) -> np.ndarray:
         idx = np.asarray(flats, dtype=np.int64)
-        inside = np.clip(idx, 0, self.universe.n - 1)
-        bad = (inside != idx) | ~self._allowed[inside]  # out of range counts as undeclared
-        if bad.any():
+        inside = idx.view(np.uint64) < self.universe.n  # a negative index wraps past the end
+        if not (inside.all() and self._allowed[idx].all()):
+            bad = ~inside | ~self._allowed[np.where(inside, idx, 0)]  # out of range is undeclared
             offenders = np.unique(idx[bad])[:8]
             raise AuditViolation(
                 f"read of undeclared time indices {offenders.tolist()}"
@@ -156,20 +155,3 @@ def subset_transform_single(u: Universe, samples, points, f) -> complex:
     phase = (pts @ as_coords(u, f)) % u.p
     est = np.exp(2j * np.pi * phase / u.p) @ vals
     return complex(est * np.sqrt(u.n) / len(pts))
-
-
-def subset_transform_dense(u: Universe, samples, flats) -> np.ndarray:
-    """Estimate all n spectrum entries from each of R sample lists at once.
-
-    samples[r, j] is the signal at flat time index flats[r, j], both (R, B).
-    Row r of the (R, n) result comes from list r: its samples are scattered
-    (summing duplicates) with the scale n/B folded in, then one batched
-    forward transform matches the per-frequency estimator entrywise.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.ndim != 2 or samples.shape != np.shape(flats) or samples.size == 0:
-        raise ValueError(f"need equal (R, B) shapes, R, B >= 1: {samples.shape}, {np.shape(flats)}")
-    r, b = samples.shape
-    mat = np.zeros((r, u.n), dtype=np.complex128)
-    np.add.at(mat, (np.arange(r)[:, None], flats), samples * (u.n / b))
-    return forward(u, mat)

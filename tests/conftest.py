@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sparsefourier.dft import Universe, unflat_index
+from sparsefourier.dft import Universe, forward, unflat_index
 
 
 def direct_dft(u: Universe, x: np.ndarray, chunk: int = 512) -> np.ndarray:
@@ -26,3 +26,25 @@ def direct_dft(u: Universe, x: np.ndarray, chunk: int = 512) -> np.ndarray:
 def direct_inverse_dft(u: Universe, xhat: np.ndarray) -> np.ndarray:
     """O(n^2) direct inverse (negative exponent)."""
     return np.conj(direct_dft(u, np.conj(xhat)))
+
+
+def subset_transform_dense(u: Universe, samples, flats) -> np.ndarray:
+    """Estimate all n spectrum entries from each of R sample lists at once.
+
+    samples[r, j] is the signal at flat time index flats[r, j], both (R, B).
+    Row r of the (R, n) result comes from list r: its samples are scattered
+    (summing duplicates) with the scale n/B folded in, then one batched
+    forward transform matches the per-frequency estimator entrywise.
+    """
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.ndim != 2 or samples.shape != np.shape(flats) or samples.size == 0:
+        raise ValueError(f"need equal (R, B) shapes, R, B >= 1: {samples.shape}, {np.shape(flats)}")
+    r, b = samples.shape
+    mat = np.zeros((r, u.n), dtype=np.complex128)
+    np.add.at(mat, (np.arange(r)[:, None], flats), samples * (u.n / b))
+    return forward(u, mat)
+
+
+def lower_median(arr: np.ndarray) -> np.ndarray:
+    """Order statistic at index floor((R-1)/2) along axis 0, by a full sort."""
+    return np.sort(arr, axis=0)[(arr.shape[0] - 1) // 2]

@@ -226,7 +226,7 @@ def test_recovery_is_deterministic():
     assert a.diagnostics == b.diagnostics
 
 
-# Recorded outputs of three small solves, so that a refactor meant to keep
+# Recorded outputs of four small solves, so that a refactor meant to keep
 # them shows when it does not. Each entry: y, then per rung (nu, shift,
 # shift_attempts, support_after_reduce, support_after_projection), then
 # samples_used. Shifts and supports must match exactly; y values may move
@@ -259,6 +259,19 @@ PINNED = {
         [(0.9682888879237285, 0j, 0, 4, 4)],
         8192,
     ),
+    # n = 4^7 spans four frequency slabs of 4^6
+    "slabs-main": (
+        {
+            6498: 1.0267862407831405 + 0.22061879348639687j,
+            10355: -0.44042057049393873 - 0.9022729834265978j,
+        },
+        [(0.7226970118165186, 0j, 0, 2, 2)],
+        3584,
+    ),
+}
+PINNED_SPECS = {
+    "spec-main": SignalSpec(16, 2, 4, 1e-3, 7),
+    "slabs-main": SignalSpec(4, 7, 2, 1e-3, 7),
 }
 
 
@@ -270,7 +283,7 @@ def test_solver_outputs_are_pinned(case):
         _, x = _plant(u, {13: 1.0 + 0j, 40: 0.6 - 0.3j})
         k, mu, rstar, seed = 2, 2.0**-20, 2.0**20, 5
     else:
-        spec = SignalSpec(16, 2, 4, 1e-3, 7)
+        spec = PINNED_SPECS[case]
         u = spec.universe
         x, _ = gen_signal(spec)
         _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=DESK_PROFILE.mu_min)
@@ -330,31 +343,34 @@ def test_run_too_large_for_memory_is_refused(monkeypatch):
 
 def test_memory_guard_covers_the_measured_peak(monkeypatch):
     # the guard's estimate must bound what a solve really holds (tracemalloc
-    # peak) without being loose by more than half of it
-    u = Universe(p=16, d=3)
-    _, x = _plant(u, {5: 1.0 + 0j, 1234: 0.5j})
-    mu = _noise_floor(x)
+    # peak) without being loose by more than half of it, on a universe of one
+    # frequency slab (16^3) and on one of four (4^7, a one-rung ladder)
+    for u, mu in ((Universe(p=16, d=3), None), (Universe(p=4, d=7), 2.0**-6)):
+        _, x = _plant(u, {5: 1.0 + 0j, 1234: 0.5j})
+        mu = mu or _noise_floor(x)
 
-    def solve():
-        return fourier_sparse_recovery(AuditedSignal(u, x), k=2, mu=mu, rstar=1 / mu, rng=0)
+        def solve():
+            return fourier_sparse_recovery(AuditedSignal(u, x), k=2, mu=mu, rstar=1 / mu, rng=0)
 
-    tracemalloc.start()
-    try:
-        solve()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-    def physical(nbytes):
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
-        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        with monkeypatch.context() as m:
 
-    physical(int(1.5 * peak))
-    assert len(solve().y) == 2
-    physical(peak - 1)
-    monkeypatch.setattr(SampleBundle, "draw", lambda *a: pytest.fail("bundle drawn"))
-    with pytest.raises(ValueError, match="physical memory"):
-        solve()
+            def physical(nbytes):
+                pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+                m.setattr(os, "sysconf", lambda name: pages[name])
+
+            physical(int(1.5 * peak))
+            assert len(solve().y) == 2
+            physical(peak - 1)
+            m.setattr(SampleBundle, "draw", lambda *a: pytest.fail("bundle drawn"))
+            with pytest.raises(ValueError, match="physical memory"):
+                solve()
 
 
 # -------------------------------------------------------------- warm-up

@@ -4,12 +4,17 @@ Ground truth is always available here (tests build the spectrum first),
 so the halving guarantee is checked directly against the true residual.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import lower_median, subset_transform_dense
 from sparsefourier.dft import Universe, flat_index, inverse, sparse_eval_time, unflat_index
-from sparsefourier.reduction import linfinity_reduce, reduce_h_rounds
+from sparsefourier.reduction import linfinity_reduce, reduce_h_rounds, slab_universe
 from sparsefourier.sampling import AuditedSignal, SampleBundle, subset_transform_single
 
 
@@ -118,6 +123,47 @@ def test_medians_match_per_list_estimates(time_eval):
         np.sort(per_list.real, axis=0)[idx] + 1j * np.sort(per_list.imag, axis=0)[idx]
     )
     assert_allclose(out.eta, manual, atol=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 13), (3, 9), (16, 4), (5, 6), (70, 2)]),
+    r=st.integers(1, 6),
+    b=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slab_medians_match_the_dense_estimator(shape, r, b, seed):
+    # medians taken one slab of frequencies at a time equal those of the whole
+    # (R, n) estimate matrix, up to float reassociation of the transform sums
+    u = Universe(*shape)
+    assert slab_universe(u).n < u.n
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
+    lists = rng.integers(0, u.p, size=(r, b, u.d), dtype=np.int64)
+    flats = flat_index(u, lists)
+    dense = subset_transform_dense(u, x[flats], flats)
+    expected = lower_median(dense.real) + 1j * lower_median(dense.imag)
+
+    eta = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=1.0).eta
+    assert np.max(np.abs(eta - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_round_never_builds_the_estimate_matrix():
+    # the (R, n) matrix of all estimates would be 67 MB here; a round holds a
+    # few (R, 4096) slabs of it instead
+    u = Universe(p=16, d=4)
+    r, b = 64, 64
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
+    lists = _draw_lists(u, r=r, b=b, seed=17)
+    sig, y = _audited(u, x, lists), np.zeros(u.n, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        linfinity_reduce(sig, y, lists, nu=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r * u.n * 16 / 4
 
 
 def test_rejects_empty_lists_and_mismatched_universe():

@@ -1,18 +1,22 @@
 """Tests for the experiment runner and report serialization."""
 
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from sparsefourier.recovery import DESK_PROFILE
+from sparsefourier import runner
+from sparsefourier.recovery import DESK_PROFILE, build_schedule, solve_memory
 from sparsefourier.runner import (
     CSV_COLUMNS,
     emit_report,
     report_to_dict,
     run_experiment,
+    run_single_trial,
 )
-from sparsefourier.signals import SignalSpec
+from sparsefourier.signals import SignalSpec, gen_signal, noise_floor_value, oracle_top_k
 
 NOISELESS = SignalSpec(p=8, d=2, k=2, sigma=0.0, seed=100)
 
@@ -23,6 +27,31 @@ def test_noiseless_trials_all_succeed():
     assert report.aggregates["success_rate"] == 1.0
     assert all(m.guarantee_ok for m in report.metrics)
     assert all(m.support_recall == 1.0 for m in report.metrics)
+
+
+def test_trial_counts_its_inputs_against_memory(monkeypatch):
+    # x, xhat and the audited copy (50 bytes a point) stay alive through the
+    # solve: memory just above the solve's own need must refuse the trial
+    # before the audited copy is made, and 50 bytes a point more must admit it
+    spec = SignalSpec(p=16, d=3, k=2, sigma=1e-3, seed=0)
+    u = spec.universe
+    x, _ = gen_signal(dataclasses.replace(spec, seed=9))
+    _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=DESK_PROFILE.mu_min)
+    floor = noise_floor_value(x, mu, mu_min_scale=DESK_PROFILE.mu_min)
+    need = solve_memory(u, build_schedule(DESK_PROFILE, u.n, spec.k, floor, rstar))
+
+    def physical(m, nbytes):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        m.setattr(os, "sysconf", lambda name: pages[name])
+
+    with monkeypatch.context() as m:
+        physical(m, need + 1)
+        m.setattr(runner, "AuditedSignal", lambda *a: pytest.fail("audited copy made"))
+        with pytest.raises(ValueError, match="physical memory"):
+            run_single_trial(spec, DESK_PROFILE, "main", 9)
+    with monkeypatch.context() as m:
+        physical(m, need + 50 * u.n)
+        assert run_single_trial(spec, DESK_PROFILE, "main", 9).guarantee_ok
 
 
 def test_trials_have_distinct_seeds_and_same_budget():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import subset_transform_dense
 from sparsefourier.checks import noise_bound_check
 from sparsefourier.dft import Universe, flat_index, forward, unflat_index
 from sparsefourier.reduction import linfinity_reduce
@@ -21,7 +22,6 @@ from sparsefourier.sampling import (
     SampleBundle,
     coefficient,
     stream_rng,
-    subset_transform_dense,
     subset_transform_single,
 )
 
