@@ -11,8 +11,8 @@ tail bound that the reduction step relies on.
 import numpy as np
 
 from sparsefourier.checks import noise_bound_check
-from sparsefourier.dft import Universe, flat_index, forward, inverse
-from sparsefourier.sampling import coefficient, subset_transform_single
+from sparsefourier.dft import Universe, characters, flat_index, forward, inverse, unflat_index
+from sparsefourier.sampling import coefficient
 
 rng = np.random.default_rng(23)
 u = Universe(p=16, d=2)
@@ -32,10 +32,12 @@ xhat = np.zeros(u.n, dtype=np.complex128)
 xhat[37] = 1.5 - 0.5j
 xhat[200] = -0.8 + 0.2j
 x = inverse(u, xhat)
+# xhat^[T]_37 = (sqrt(n)/|T|) sum_t omega^(37.t) x_t
 estimates = []
 for _ in range(2000):
     t = rng.integers(0, u.p, size=(B, u.d))
-    estimates.append(subset_transform_single(u, x[flat_index(u, t)], t, 37))
+    est = characters(u, t, unflat_index(u, 37)) @ x[flat_index(u, t)]
+    estimates.append(complex(est * np.sqrt(u.n) / B))
 print(f"\ntarget xhat_37 = {xhat[37]}, mean of 2000 estimates = {np.mean(estimates):.4f}")
 others = np.linalg.norm([v for i, v in enumerate(xhat) if i != 37])
 print(f"per-estimate std = {np.std(estimates):.4f} (leakage scale: other tones / sqrt(B) = "

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .dft import Universe, as_coords, flat_index, inverse, unflat_index
+from .dft import Universe, characters, inverse, unflat_index
 from .grids import GridSpec, box_projects_uniquely
 from .sampling import coefficient
 
@@ -28,7 +28,7 @@ __all__ = [
 def noise_bound_check(
     u: Universe,
     xhat: np.ndarray,
-    f,
+    f: int,
     v_set,
     b: int,
     trials: int,
@@ -42,9 +42,10 @@ def noise_bound_check(
 
     The second-moment bound puts the true rate at most 1/100.
     """
-    f_flat = int(flat_index(u, as_coords(u, f)))
+    f = int(f)
+    fv = unflat_index(u, f)  # rejects f outside [0, n)
     v_idx = np.asarray(list(v_set), dtype=np.int64)
-    if f_flat in set(v_idx.tolist()):
+    if f in set(v_idx.tolist()):
         raise ValueError("f must not belong to V")
     if trials < 1 or b < 1:
         raise ValueError("need trials >= 1 and b >= 1")
@@ -58,8 +59,7 @@ def noise_bound_check(
     # g_t = sum_{f' in V} xhat_{f'} omega^(-f'.t), dense via one inverse;
     # phase_f[t] = omega^(f.t); then each trial is a B-point average.
     g = inverse(u, mask) * np.sqrt(u.n)
-    tcoords = unflat_index(u, np.arange(u.n))
-    phase_f = np.exp(2j * np.pi * ((tcoords @ as_coords(u, f)) % u.p) / u.p)
+    phase_f = characters(u, unflat_index(u, np.arange(u.n)), fv)
 
     idx = rng.integers(0, u.n, size=(trials, b))
     sums = (phase_f[idx] * g[idx]).mean(axis=1)

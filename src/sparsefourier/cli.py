@@ -16,7 +16,6 @@ import dataclasses
 import sys
 
 from .checks import CHECKS
-from .grids import GoodShiftError
 from .recovery import DESK_PROFILE, RecoveryConfig, ShiftFailure
 from .runner import emit_report, run_experiment
 from .sampling import AuditViolation
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
     except AuditViolation as exc:
         print(f"sample audit violation: {exc}", file=sys.stderr)
         return 3
-    except (ShiftFailure, GoodShiftError, OSError) as exc:
+    except (ShiftFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,9 @@ ifftn uses the positive exponent, so forward == sqrt(n)*ifftn and
 inverse == fftn/sqrt(n).
 
 A frequency or time vector (f_0, ..., f_{d-1}) maps to the flat index
-sum_i f_i * p^i, i.e. coordinate 0 varies fastest.
+sum_i f_i * p^i, i.e. coordinate 0 varies fastest. Every character
+omega^(f.t) the package uses comes from characters(); this module is the
+only one that calls np.fft.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "Universe",
     "flat_index",
     "unflat_index",
-    "as_coords",
+    "characters",
     "forward",
     "inverse",
     "sparse_eval_time",
@@ -79,16 +81,16 @@ def unflat_index(u: Universe, flat) -> np.ndarray:
     return coords
 
 
-def as_coords(u: Universe, f) -> np.ndarray:
-    """One frequency, given as a flat index or as d coordinates, as a coordinate vector."""
-    if np.isscalar(f):
-        return unflat_index(u, int(f))
-    fv = np.asarray(f, dtype=np.int64)
-    if fv.shape != (u.d,):
-        raise ValueError(f"frequency must be a flat index or {u.d} coordinates")
-    if np.any(fv < 0) or np.any(fv >= u.p):
-        raise ValueError(f"frequency coordinate out of range [0, {u.p})")
-    return fv
+def characters(u: Universe, points, freqs, sign: int = 1) -> np.ndarray:
+    """Characters omega^(sign * f.t) at every time vector of points and frequency of freqs.
+
+    points is a (..., d) array and freqs a (d,) vector or an (s, d) array;
+    the result has shape points.shape[:-1] (+ (s,)). The integer phase
+    f.t mod p indexes a table of the p roots of unity, so every character in
+    the package is one of the same p complex numbers.
+    """
+    roots = np.exp(sign * 2j * np.pi * np.arange(u.p) / u.p)
+    return roots[(np.asarray(points) @ np.asarray(freqs).T) % u.p]
 
 
 def forward(u: Universe, x: np.ndarray) -> np.ndarray:
@@ -129,10 +131,7 @@ def sparse_eval_time(u: Universe, points, freqs, values) -> np.ndarray:
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != u.d:
         raise ValueError(f"expected (m, {u.d}) points array, got {pts.shape}")
-    # phases (m, s): f.t mod p indexes a table of the p roots omega^-j
-    phase = (pts @ np.asarray(freqs).T) % u.p
-    roots = np.exp(-2j * np.pi * np.arange(u.p) / u.p)
-    return (roots[phase] @ values) / np.sqrt(u.n)
+    return (characters(u, pts, freqs, sign=-1) @ values) / np.sqrt(u.n)
 
 
 def densify(u: Universe, y: dict[int, complex]) -> np.ndarray:

@@ -38,16 +38,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ShiftParams:
-    """Radii for the random-shift argument: r_g/2 >= r_s >= r_b > 0."""
+    """Radii for the random-shift argument: r_g/2 >= r_s >= r_b > 0, and r_b < r_g/2
+    since a box of radius r_g/2 spans a whole rounding cell and no shift can help it."""
 
     r_s: float
     r_b: float
     r_g: float
 
     def __post_init__(self):
-        if not (self.r_g / 2 >= self.r_s >= self.r_b > 0):
+        if not (self.r_g / 2 >= self.r_s >= self.r_b > 0 and self.r_b < self.r_g / 2):
             raise ValueError(
-                f"need r_g/2 >= r_s >= r_b > 0, got r_g={self.r_g}, r_s={self.r_s}, r_b={self.r_b}"
+                f"need r_g/2 >= r_s >= r_b > 0 and r_b < r_g/2,"
+                f" got r_g={self.r_g}, r_s={self.r_s}, r_b={self.r_b}"
             )
 
 
@@ -111,16 +113,11 @@ def box_projects_uniquely(center, radius, grid: GridSpec):
 
 
 class GoodShiftError(RuntimeError):
-    """No accepted shift within the attempt budget.
+    """No accepted shift within the attempt budget."""
 
-    `misconfigured` separates "the parameters make acceptance impossible"
-    (boxes at least as wide as a rounding cell) from plain bad luck.
-    """
-
-    def __init__(self, message: str, attempts: int, misconfigured: bool):
+    def __init__(self, message: str, attempts: int):
         super().__init__(message)
         self.attempts = attempts
-        self.misconfigured = misconfigured
 
 
 def draw_good_shift(
@@ -141,13 +138,6 @@ def draw_good_shift(
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     centers = np.asarray(centers, dtype=np.complex128)
     grid = GridSpec(params.r_g)
-    if centers.size and 2 * params.r_b >= params.r_g:
-        raise GoodShiftError(
-            f"boxes of radius r_b={params.r_b} span a full cell of side r_g={params.r_g};"
-            " no shift can make them round uniquely",
-            attempts=0,
-            misconfigured=True,
-        )
     for attempt in range(1, max_attempts + 1):
         s = complex(rng.uniform(-params.r_s, params.r_s), rng.uniform(-params.r_s, params.r_s))
         if box_projects_uniquely(centers + s, params.r_b, grid).all():
@@ -158,5 +148,4 @@ def draw_good_shift(
         " each box alone accepts most shifts, so suspect bad luck or centers"
         " whose exclusion zones jointly cover the shift square",
         attempts=max_attempts,
-        misconfigured=False,
     )

@@ -192,14 +192,10 @@ def build_schedule(
 class ShiftFailure(RuntimeError):
     """The shift rejection loop ran out of attempts at ladder rung l."""
 
-    def __init__(self, iteration: int, attempts: int, misconfigured: bool):
-        super().__init__(
-            f"no good shift at iteration {iteration} after {attempts} attempts"
-            + (" (parameters make acceptance impossible)" if misconfigured else "")
-        )
+    def __init__(self, iteration: int, attempts: int):
+        super().__init__(f"no good shift at iteration {iteration} after {attempts} attempts")
         self.iteration = iteration
         self.attempts = attempts
-        self.misconfigured = misconfigured
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ def _drive(
     diags = []
     for ell in range(1, schedule.l + 1):
         nu = schedule.nus[ell - 1]
-        w = y + reduce_h_rounds(x, y, bundle, nu, schedule.h)
+        w = y + reduce_h_rounds(x, y, bundle, nu)
         supp = np.flatnonzero(w)
         if ell == schedule.l:
             y = w
@@ -264,7 +260,7 @@ def _drive(
                     w[supp], params, stream_rng(entropy, DOMAIN_SHIFT, ell), cap
                 )
             except GoodShiftError as exc:
-                raise ShiftFailure(ell, exc.attempts, exc.misconfigured) from exc
+                raise ShiftFailure(ell, exc.attempts) from exc
 
         y = np.zeros_like(w)
         y[supp] = project(w[supp] + shift, GridSpec(grid_scale * nu))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft import Universe, flat_index, forward, sparse_eval_time, unflat_index
+from .dft import Universe, characters, flat_index, forward, sparse_eval_time, unflat_index
 from .sampling import AuditedSignal, SampleBundle
 
 __all__ = ["ReduceOutput", "slab_universe", "linfinity_reduce", "reduce_h_rounds"]
@@ -80,34 +80,28 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
         [signal.read(f) - sparse_eval_time(u, t, freqs, values) for f, t in zip(flats, points)]
     )
     fast = slab_universe(u)
-    s, hi, roots = fast.n, points[..., fast.d :], np.exp(2j * np.pi * np.arange(u.p) / u.p)
+    s = fast.n
     scaled = residuals * (u.n / points.shape[1] * np.sqrt(s / u.n))  # n/B when s = n
     rows, cols = np.arange(len(points))[:, None], flats % s
     eta = np.empty(u.n, dtype=np.complex128)
     for lo in range(0, u.n, s):  # slab [lo, lo + s) shares the slow coordinates of lo
-        vals = scaled * roots[(hi @ unflat_index(u, lo)[fast.d :]) % u.p] if s < u.n else scaled
+        # lo's fast coordinates are 0, so omega^(lo.t) is the slab weight omega^(f_hi.t_hi)
         mat = np.zeros((len(points), s), dtype=np.complex128)
-        np.add.at(mat, (rows, cols), vals)
+        np.add.at(mat, (rows, cols), scaled * characters(u, points, unflat_index(u, lo)))
         eta[lo : lo + s] = _lower_median(forward(fast, mat))
     return ReduceOutput(z=np.where(np.abs(eta) >= nu / 2, eta, 0), eta=eta)
 
 
 def reduce_h_rounds(
-    signal: AuditedSignal,
-    y: np.ndarray,
-    bundle: SampleBundle,
-    nu: float,
-    h: int,
+    signal: AuditedSignal, y: np.ndarray, bundle: SampleBundle, nu: float
 ) -> np.ndarray:
-    """Run H rounds with geometrically shrinking radius, accumulating z.
+    """Run one round per bundle row with geometrically shrinking radius, accumulating z.
 
     Round i uses bundle row i with radius 2^(1-i) * nu, so on success the
-    residual against y + z ends below 2^(1-H) * nu. y and the returned z
-    are length-n spectrum arrays.
+    residual against y + z ends below 2^(1-H) * nu for H rows. y and the
+    returned z are length-n spectrum arrays.
     """
-    if not (1 <= h <= len(bundle.points)):
-        raise ValueError(f"need 1 <= h <= {len(bundle.points)}, got {h}")
     z = np.zeros(signal.universe.n, dtype=np.complex128)
-    for i in range(1, h + 1):
-        z += linfinity_reduce(signal, y + z, bundle.points[i - 1], (2.0 ** (1 - i)) * nu).z
+    for i, row in enumerate(bundle.points, start=1):
+        z += linfinity_reduce(signal, y + z, row, (2.0 ** (1 - i)) * nu).z
     return z

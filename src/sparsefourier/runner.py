@@ -51,16 +51,15 @@ class Report:
     aggregates: dict
 
 
-def _trial_seed(master_seed, index: int) -> int:
+def _trial_seed(master_seed: int, index: int) -> int:
     """Independent, reproducible per-trial seed from (master, index)."""
-    entropy = master_seed if isinstance(master_seed, tuple) else (master_seed,)
-    state = np.random.SeedSequence(entropy + (index,)).generate_state(1, np.uint64)
-    return int(state[0])
+    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
 
 
 def run_single_trial(
-    spec: SignalSpec, config: RecoveryConfig, algorithm: str, trial_seed: int
+    spec: SignalSpec, config: RecoveryConfig, algorithm: str, trial_seed: int, in_flight: int = 1
 ) -> Metrics:
+    """One seeded trial; in_flight trials of this size run at once and share physical memory."""
     driver = ALGORITHMS[algorithm]
     u = spec.universe
     x, xhat = gen_signal(dataclasses.replace(spec, seed=trial_seed))
@@ -68,7 +67,8 @@ def run_single_trial(
     floor = noise_floor_value(x, mu, mu_min_scale=config.mu_min)
     # x, xhat and the audited copy with its two masks stay alive through the solve
     schedule = build_schedule(config, u.n, spec.k, floor, rstar, warmup=algorithm == "warmup")
-    require_memory(50 * u.n + solve_memory(u, schedule), f"a trial on n = {u.n} points would")
+    need = 50 * u.n + solve_memory(u, schedule)
+    require_memory(in_flight * need, f"{in_flight} trial(s) on n = {u.n} points at once would")
 
     sig = AuditedSignal(u, x)
     t0 = time.perf_counter()
@@ -101,8 +101,11 @@ def run_experiment(
         raise ValueError(f"got {len(seeds)} seeds for {trials} trials")
     workers = int(os.environ.get("SFT_THREADS", "0"))
     if workers > 1:
+        in_flight = min(workers, trials)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(lambda s: run_single_trial(spec, config, algorithm, s), seeds))
+            metrics = list(
+                pool.map(lambda s: run_single_trial(spec, config, algorithm, s, in_flight), seeds)
+            )
     else:
         metrics = [run_single_trial(spec, config, algorithm, s) for s in seeds]
 

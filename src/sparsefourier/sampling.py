@@ -1,4 +1,4 @@
-"""Uniform time-domain sampling and the subset-sample Fourier estimator.
+"""Uniform time-domain sampling, the audited signal, and the estimator's leakage coefficients.
 
 A sample list T is an ordered list of B i.i.d. uniform points of [p]^d,
 duplicates kept, stored as a (B, d) integer array; a run's H x R grid of
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import Universe, as_coords, flat_index
+from .dft import Universe, characters, flat_index, unflat_index
 
 __all__ = [
     "SampleBundle",
@@ -31,7 +31,6 @@ __all__ = [
     "AuditViolation",
     "stream_rng",
     "coefficient",
-    "subset_transform_single",
 ]
 
 
@@ -133,25 +132,13 @@ class AuditedSignal:
         return bool(np.array_equal(self._touched, self._allowed))
 
 
-def coefficient(u: Universe, f, points) -> complex | np.ndarray:
-    """Measurement coefficient c^[T]_f = (1/|T|) sum_t omega^(f.t).
+def coefficient(u: Universe, f: int, points) -> complex | np.ndarray:
+    """Measurement coefficient c^[T]_f = (1/|T|) sum_t omega^(f.t) at the flat frequency f.
 
     The defining property (and the reason for the exact formula) is the
     decomposition xhat^[T]_f = sum_{f'} c^[T]_{f-f'} xhat_{f'}: the subset
     estimator reads the true spectrum through this leakage kernel. points
     is a (..., B, d) array of lists; the result has its leading shape.
     """
-    phase = (np.asarray(points) @ as_coords(u, f)) % u.p
-    c = np.exp(2j * np.pi * phase / u.p).mean(axis=-1)
+    c = characters(u, points, unflat_index(u, int(f))).mean(axis=-1)
     return complex(c) if c.ndim == 0 else c
-
-
-def subset_transform_single(u: Universe, samples, points, f) -> complex:
-    """Estimate one spectrum entry from samples taken at the (B, d) points of T."""
-    vals = np.asarray(samples, dtype=np.complex128)
-    pts = np.asarray(points)
-    if pts.ndim != 2 or vals.shape != (len(pts),):
-        raise ValueError(f"got samples of shape {vals.shape} for points of shape {pts.shape}")
-    phase = (pts @ as_coords(u, f)) % u.p
-    est = np.exp(2j * np.pi * phase / u.p) @ vals
-    return complex(est * np.sqrt(u.n) / len(pts))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -35,15 +35,14 @@ class SignalSpec:
 
     k tones of magnitude 1 with uniform phases. sigma is the
     per-coordinate standard deviation of frequency-domain complex Gaussian
-    noise (E|eta|^2 = sigma^2), applied to all n coordinates. seed may be
-    an int or a tuple of ints.
+    noise (E|eta|^2 = sigma^2), applied to all n coordinates.
     """
 
     p: int
     d: int
     k: int
     sigma: float = 0.0
-    seed: Union[int, tuple] = 0
+    seed: int = 0
 
     def __post_init__(self):
         u = self.universe  # validates p, d

@@ -45,6 +45,17 @@ def subset_transform_dense(u: Universe, samples, flats) -> np.ndarray:
     return forward(u, mat)
 
 
+def subset_transform_single(u: Universe, samples, points, f) -> complex:
+    """Estimate one spectrum entry from samples taken at the (B, d) points of T."""
+    vals = np.asarray(samples, dtype=np.complex128)
+    pts = np.asarray(points)
+    if pts.ndim != 2 or vals.shape != (len(pts),):
+        raise ValueError(f"got samples of shape {vals.shape} for points of shape {pts.shape}")
+    phase = (pts @ unflat_index(u, f)) % u.p
+    est = np.exp(2j * np.pi * phase / u.p) @ vals
+    return complex(est * np.sqrt(u.n) / len(pts))
+
+
 def lower_median(arr: np.ndarray) -> np.ndarray:
     """Order statistic at index floor((R-1)/2) along axis 0, by a full sort."""
     return np.sort(arr, axis=0)[(arr.shape[0] - 1) // 2]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import direct_dft, direct_inverse_dft
+from sparsefourier import dft
 from sparsefourier.dft import (
     Universe,
+    characters,
     densify,
     flat_index,
     forward,
@@ -204,6 +208,35 @@ def test_sparse_eval_rejects_bad_freq():
         densify(u, {9: 1.0})
     with pytest.raises(ValueError):
         sparse_eval_time(u, np.zeros((2, 3), dtype=np.int64), np.zeros((1, 2)), np.ones(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 40),
+    d=st.integers(1, 4),
+    batch=st.sampled_from([(), (3,)]),
+    m=st.integers(0, 12),
+    s=st.one_of(st.none(), st.integers(0, 5)),
+    sign=st.sampled_from([1, -1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_characters_equal_direct_exponentials(p, d, batch, m, s, sign, seed):
+    # the root table gives exactly exp of the reduced phase, for one (d,)
+    # frequency (s is None) and for an (s, d) array of them
+    u = Universe(p, d)
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, p, size=batch + (m, d))
+    f = rng.integers(0, p, size=(d,) if s is None else (s, d))
+    direct = np.exp(sign * 2j * np.pi * ((points @ f.T) % p) / p)
+    assert np.array_equal(characters(u, points, f, sign), direct)
+
+
+def test_only_dft_computes_transforms_and_characters():
+    # every FFT and every omega^(f.t) of the package goes through dft.py
+    for path in sorted(Path(dft.__file__).parent.glob("*.py")):
+        if path.name != "dft.py":
+            text = path.read_text()
+            assert "np.fft" not in text and "% u.p" not in text, path.name
 
 
 def test_densify_roundtrip():

@@ -307,7 +307,7 @@ def test_shift_failure_is_structured(monkeypatch):
     xhat, x = _plant(u, {5: 1.0 + 0j})
 
     def always_fail(centers, params, rng, max_attempts):
-        raise GoodShiftError("forced", attempts=max_attempts, misconfigured=False)
+        raise GoodShiftError("forced", attempts=max_attempts)
 
     monkeypatch.setattr("sparsefourier.recovery.draw_good_shift", always_fail)
     sig = AuditedSignal(u, x)
@@ -315,7 +315,6 @@ def test_shift_failure_is_structured(monkeypatch):
         fourier_sparse_recovery(sig, k=1, mu=2.0**-20, rstar=2**20, config=DESK_PROFILE, rng=0)
     assert exc.value.iteration == 1
     assert exc.value.attempts == 60
-    assert not exc.value.misconfigured
 
 
 def test_driver_validates_inputs():
@@ -410,7 +409,7 @@ def test_warmup_single_rung_equals_reduce_rounds():
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     sig2 = AuditedSignal(u, x)
     sig2.grant_bundle(bundle)
-    z = reduce_h_rounds(sig2, np.zeros(u.n), bundle, schedule.nus[0], schedule.h)
+    z = reduce_h_rounds(sig2, np.zeros(u.n), bundle, schedule.nus[0])
     assert res.y == {int(f): complex(z[f]) for f in np.flatnonzero(z)}
 
 

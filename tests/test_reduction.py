@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import lower_median, subset_transform_dense
+from conftest import lower_median, subset_transform_dense, subset_transform_single
 from sparsefourier.dft import Universe, flat_index, inverse, sparse_eval_time, unflat_index
 from sparsefourier.reduction import linfinity_reduce, reduce_h_rounds, slab_universe
-from sparsefourier.sampling import AuditedSignal, SampleBundle, subset_transform_single
+from sparsefourier.sampling import AuditedSignal, SampleBundle
 
 
 def _signal_from_spectrum(u, xhat):
@@ -216,22 +216,11 @@ def test_single_round_equals_direct_call():
 
     sig1 = AuditedSignal(u, x)
     sig1.grant_bundle(bundle)
-    z_rounds = reduce_h_rounds(sig1, np.zeros(u.n), bundle, nu=0.8, h=1)
+    z_rounds = reduce_h_rounds(sig1, np.zeros(u.n), bundle, nu=0.8)
 
     sig2 = _audited(u, x, lists)
     direct = linfinity_reduce(sig2, np.zeros(u.n), lists, nu=0.8)
     assert np.array_equal(z_rounds, direct.z)
-
-
-def test_rounds_validate_h():
-    u = Universe(p=4, d=1)
-    bundle = SampleBundle.draw(u, h=2, r=3, b=4, entropy=0)
-    sig = AuditedSignal(u, np.zeros(4))
-    sig.grant_bundle(bundle)
-    with pytest.raises(ValueError):
-        reduce_h_rounds(sig, np.zeros(4), bundle, nu=1.0, h=3)
-    with pytest.raises(ValueError):
-        reduce_h_rounds(sig, np.zeros(4), bundle, nu=1.0, h=0)
 
 
 def test_noiseless_two_sparse_residual_walks_down():
@@ -268,7 +257,7 @@ def test_reduce_h_rounds_end_to_end_three_sparse():
     bundle = SampleBundle.draw(u, h=h_rounds, r=9, b=96, entropy=31)
     sig = AuditedSignal(u, x)
     sig.grant_bundle(bundle)
-    z = reduce_h_rounds(sig, np.zeros(u.n), bundle, nu=nu, h=h_rounds)
+    z = reduce_h_rounds(sig, np.zeros(u.n), bundle, nu=nu)
 
     assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - h_rounds) * nu
     assert sig.all_granted_read()

@@ -29,29 +29,54 @@ def test_noiseless_trials_all_succeed():
     assert all(m.support_recall == 1.0 for m in report.metrics)
 
 
+def _solve_need(spec, trial_seed):
+    """solve_memory of the trial that run_single_trial would run for trial_seed."""
+    u = spec.universe
+    x, _ = gen_signal(dataclasses.replace(spec, seed=trial_seed))
+    _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=DESK_PROFILE.mu_min)
+    floor = noise_floor_value(x, mu, mu_min_scale=DESK_PROFILE.mu_min)
+    return solve_memory(u, build_schedule(DESK_PROFILE, u.n, spec.k, floor, rstar))
+
+
+def _physical(m, nbytes):
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    m.setattr(os, "sysconf", lambda name: pages[name])
+
+
 def test_trial_counts_its_inputs_against_memory(monkeypatch):
     # x, xhat and the audited copy (50 bytes a point) stay alive through the
     # solve: memory just above the solve's own need must refuse the trial
     # before the audited copy is made, and 50 bytes a point more must admit it
     spec = SignalSpec(p=16, d=3, k=2, sigma=1e-3, seed=0)
     u = spec.universe
-    x, _ = gen_signal(dataclasses.replace(spec, seed=9))
-    _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=DESK_PROFILE.mu_min)
-    floor = noise_floor_value(x, mu, mu_min_scale=DESK_PROFILE.mu_min)
-    need = solve_memory(u, build_schedule(DESK_PROFILE, u.n, spec.k, floor, rstar))
-
-    def physical(m, nbytes):
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
-        m.setattr(os, "sysconf", lambda name: pages[name])
+    need = _solve_need(spec, 9)
 
     with monkeypatch.context() as m:
-        physical(m, need + 1)
+        _physical(m, need + 1)
         m.setattr(runner, "AuditedSignal", lambda *a: pytest.fail("audited copy made"))
         with pytest.raises(ValueError, match="physical memory"):
             run_single_trial(spec, DESK_PROFILE, "main", 9)
     with monkeypatch.context() as m:
-        physical(m, need + 50 * u.n)
+        _physical(m, need + 50 * u.n)
         assert run_single_trial(spec, DESK_PROFILE, "main", 9).guarantee_ok
+
+
+def test_threaded_batch_counts_every_trial_in_flight(monkeypatch):
+    # with SFT_THREADS=2 two trials run at once: physical memory one byte short
+    # of twice a trial's need must refuse the batch, twice the need admits it
+    spec = SignalSpec(p=16, d=3, k=2, sigma=1e-3, seed=0)
+    need = 50 * spec.universe.n + _solve_need(spec, 9)
+    monkeypatch.setenv("SFT_THREADS", "2")
+
+    with monkeypatch.context() as m:
+        _physical(m, 2 * need - 1)
+        m.setattr(runner, "AuditedSignal", lambda *a: pytest.fail("audited copy made"))
+        with pytest.raises(ValueError, match="physical memory"):
+            run_experiment(spec, DESK_PROFILE, trials=2, seeds=[9, 9])
+    with monkeypatch.context() as m:
+        _physical(m, 2 * need)
+        report = run_experiment(spec, DESK_PROFILE, trials=2, seeds=[9, 9])
+        assert report.aggregates["success_rate"] == 1.0
 
 
 def test_trials_have_distinct_seeds_and_same_budget():
