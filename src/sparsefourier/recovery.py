@@ -125,9 +125,9 @@ def require_memory(need: float, what: str) -> None:
 
 
 def solve_memory(u: Universe, schedule: Schedule) -> int:
-    """Tracemalloc peak of a solve: bundle and flat indices, a round's three (R, s) slab matrices
-    and (R, B) samples, six length-n complex vectors, 1 MiB a first solve loads (numpy.fft)."""
-    per_round = schedule.r * (48 * slab_universe(u).n + 64 * schedule.b)
+    """Tracemalloc peak of a solve: bundle and flat indices, a round's two (R, s) complex slab
+    matrices and (R, B) samples, six length-n complex vectors, 1 MiB a first solve loads (numpy.fft)."""
+    per_round = schedule.r * (32 * slab_universe(u).n + 64 * schedule.b)
     return schedule.budget * (u.d + 1) * 8 + per_round + 96 * u.n + 2**20
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft import Universe, characters, flat_index, forward, sparse_eval_time, unflat_index
+from .dft import Universe, characters, flat_index, slab_forward, sparse_eval_time, unflat_index
 from .sampling import AuditedSignal, SampleBundle
 
 __all__ = ["ReduceOutput", "slab_universe", "linfinity_reduce", "reduce_h_rounds"]
@@ -62,7 +62,8 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
 
     Medians come one slab of s = p^m flat frequencies sharing f_hi = (f_m..f_{d-1})
     at a time: samples weighted by omega^(f_hi.t_hi) feed one batched m-dim transform
-    (a pruned row-column DFT, Markel 1971); with s = n that is one n-point transform.
+    (dft.slab_forward: grouped character-matrix GEMMs for p < dft.GROUP, an FFT
+    otherwise); with s = n that is one n-point transform.
     """
     if nu <= 0:
         raise ValueError(f"radius nu must be positive, got {nu}")
@@ -84,11 +85,12 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     scaled = residuals * (u.n / points.shape[1] * np.sqrt(s / u.n))  # n/B when s = n
     rows, cols = np.arange(len(points))[:, None], flats % s
     eta = np.empty(u.n, dtype=np.complex128)
+    mat = np.empty((len(points), s), dtype=np.complex128)  # one slab matrix, refilled per slab
     for lo in range(0, u.n, s):  # slab [lo, lo + s) shares the slow coordinates of lo
         # lo's fast coordinates are 0, so omega^(lo.t) is the slab weight omega^(f_hi.t_hi)
-        mat = np.zeros((len(points), s), dtype=np.complex128)
+        mat.fill(0)
         np.add.at(mat, (rows, cols), scaled * characters(u, points, unflat_index(u, lo)))
-        eta[lo : lo + s] = _lower_median(forward(fast, mat))
+        eta[lo : lo + s] = _lower_median(slab_forward(fast, mat))
     return ReduceOutput(z=np.where(np.abs(eta) >= nu / 2, eta, 0), eta=eta)
 
 

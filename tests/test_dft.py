@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,6 +15,7 @@ from sparsefourier.dft import (
     flat_index,
     forward,
     inverse,
+    slab_forward,
     sparse_eval_time,
     unflat_index,
 )
@@ -165,6 +166,48 @@ def test_forward_batch_equals_rows():
         assert np.array_equal(row, forward(u, x))
     with pytest.raises(ValueError):
         forward(u, np.zeros((5, u.n + 1)))
+
+
+def _rows(u, r, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((r, u.n)) + 1j * rng.standard_normal((r, u.n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 4, 5, 7, 8, 15]),
+    m=st.integers(1, 12),
+    r=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, m=7, r=6, seed=0)  # groups of 2, 2, 2 and 1 coordinates
+@example(p=2, m=11, r=1, seed=1)  # 4, 4 and 3
+@example(p=4, m=5, r=3, seed=2)  # 2, 2 and 1
+def test_slab_forward_grouped_matches_forward(p, m, r, seed):
+    # the grouped character-matrix path agrees with np.fft to rounding, for
+    # every group size, a partial last group and any batch, in place
+    u = Universe(p, max(d for d in range(1, m + 1) if p**d <= 4096))
+    rows = _rows(u, r, seed)
+    ref = forward(u, rows)
+    out = slab_forward(u, rows)
+    assert out is rows
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p,d", [(1, 3), (dft.GROUP, 3), (17, 2), (4096, 1)])
+def test_slab_forward_falls_back_to_forward_bits(p, d):
+    # p = 1 and p >= GROUP take np.fft in place: exactly forward()'s bits
+    u = Universe(p, d)
+    rows = _rows(u, 4, seed=p)
+    assert np.array_equal(slab_forward(u, rows.copy()), forward(u, rows))
+
+
+def test_slab_forward_shape_errors():
+    u = Universe(4, 3)
+    rows = _rows(u, 2, seed=0)
+    for bad in (rows[0], rows[:, :-1], rows.reshape(2, 2, -1), rows.real.copy(), rows.T.copy().T):
+        with pytest.raises(ValueError):
+            slab_forward(u, bad)
 
 
 def test_shape_mismatch_errors():

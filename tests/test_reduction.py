@@ -148,11 +148,8 @@ def test_slab_medians_match_the_dense_estimator(shape, r, b, seed):
     assert np.max(np.abs(eta - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_round_never_builds_the_estimate_matrix():
-    # the (R, n) matrix of all estimates would be 67 MB here; a round holds a
-    # few (R, 4096) slabs of it instead
-    u = Universe(p=16, d=4)
-    r, b = 64, 64
+def _round_peak(u, r, b):
+    """tracemalloc peak of one round on R lists of B points."""
     rng = np.random.default_rng(16)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     lists = _draw_lists(u, r=r, b=b, seed=17)
@@ -160,10 +157,23 @@ def test_round_never_builds_the_estimate_matrix():
     tracemalloc.start()
     try:
         linfinity_reduce(sig, y, lists, nu=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < r * u.n * 16 / 4
+
+
+def test_round_never_builds_the_estimate_matrix():
+    # the (R, n) matrix of all estimates would be 67 MB here; a round holds a
+    # few (R, 4096) slabs of it instead
+    u, r = Universe(p=16, d=4), 64
+    assert _round_peak(u, r, b=64) < r * u.n * 16 / 4
+
+
+def test_grouped_transform_round_never_builds_the_estimate_matrix():
+    # the same bound when the slabs (4^6) go through the grouped character-matrix
+    # transform, whose two (R, 4096) buffers are reused by every group
+    u, r = Universe(p=4, d=8), 64
+    assert _round_peak(u, r, b=64) < r * u.n * 16 / 4
 
 
 def test_rejects_empty_lists_and_mismatched_universe():
