@@ -14,13 +14,12 @@ sum_i f_i * p^i, i.e. coordinate 0 varies fastest. Every character
 omega^(f.t) the package uses comes from characters(); this module is the
 only one that calls np.fft.
 
-The reduction's batched slab transforms go through slab_forward(). np.fft
-pays a fixed cost for every axis, which dominates when the axes are short,
-so for 2 <= p < GROUP slab_forward() merges g coordinates into one axis of
-q = p^g <= GROUP and applies that axis's transform as one GEMM by a cached
-(q, q) character matrix. Otherwise it computes forward()'s np.fft result, bit
-for bit. It works in place, so a round reuses one slab matrix for all its
-slabs. forward() and inverse() always use np.fft.
+The reduction's slab transforms go through slab_forward(), in place on the R
+columns of an (n, R) matrix. np.fft pays a fixed cost for every axis, which
+dominates when the axes are short, so when grouped(p) slab_forward() merges g
+coordinates into one axis of q = p^g <= GROUP and applies it as one batched
+GEMM by a cached (q, q) character matrix. Otherwise it computes forward()'s
+np.fft result, bit for bit. forward() and inverse() always use np.fft.
 """
 
 from __future__ import annotations
@@ -120,6 +119,11 @@ def forward(u: Universe, x: np.ndarray) -> np.ndarray:
 GROUP = 16  # axes shorter than GROUP are merged into GEMM axes of at most GROUP
 
 
+def grouped(p: int) -> bool:
+    """Whether slab_forward() on [p]^m runs GEMMs through one scratch slab, not np.fft in place."""
+    return 2 <= p < GROUP
+
+
 @functools.cache
 def _group_matrix(p: int, g: int) -> np.ndarray:
     """Unitary transform of one merged axis: the characters of [p]^g over its grid / sqrt(p^g)."""
@@ -130,36 +134,33 @@ def _group_matrix(p: int, g: int) -> np.ndarray:
     return mat
 
 
-def slab_forward(u: Universe, rows: np.ndarray) -> np.ndarray:
-    """forward() of an (R, n) complex128 batch, computed in place in rows and returned.
+def slab_forward(u: Universe, cols: np.ndarray) -> np.ndarray:
+    """forward() of every column of an (n, R) complex128 array, in place in cols and returned.
 
-    For p = 1 or p >= GROUP this is np.fft, bit for bit forward()'s result.
-    For 2 <= p < GROUP the coordinates are merged, from coordinate 0 on, into
-    groups of g with q = p^g <= GROUP (the last group may be smaller). Each
-    group is one GEMM (R*n/q, q) @ M into a scratch buffer of the size of rows,
-    then one transposed copy back into rows that moves the transformed axis to
-    the front of the row, so after the last group the axes are back in order.
-    Agrees with forward() to about 1e-15 of the largest output. No other
-    R*n array is made, so a round that reuses rows holds at most two.
+    Unless grouped(p), this is np.fft over the leading axes, bit for bit forward()'s result.
+    Otherwise coordinates 0, 1, ... are merged into groups of g with q = p^g <= GROUP (the last
+    group may be smaller), and each group is one batched GEMM M @ X.reshape(-1, q, inner) from
+    cols into one scratch array or back, inner being R times the size of the groups before it;
+    no axis moves. Agrees with forward() to about 1e-15 of the largest output.
     """
-    if rows.dtype != np.complex128 or rows.shape[1:] != (u.n,) or not rows.flags.c_contiguous:
+    if cols.ndim != 2 or len(cols) != u.n or cols.dtype != complex or not cols.flags.c_contiguous:
         raise ValueError(
-            f"expected a C-contiguous complex128 (R, {u.n}) array, got {rows.dtype} {rows.shape}"
+            f"expected a C-contiguous complex128 ({u.n}, R) array, got {cols.dtype} {cols.shape}"
         )
-    r, n = rows.shape
-    if not 2 <= u.p < GROUP:
-        cube = rows.reshape((r,) + u.shape)
-        np.fft.ifftn(cube, axes=tuple(range(1, u.d + 1)), out=cube)
-        rows *= np.sqrt(u.n)
-        return rows
+    if not grouped(u.p):
+        cube = cols.reshape(u.shape + cols.shape[1:])
+        np.fft.ifftn(cube, axes=tuple(range(u.d)), out=cube)
+        cols *= np.sqrt(u.n)
+        return cols
     g = max(g for g in range(1, u.d + 1) if u.p**g <= GROUP)
-    scratch = np.empty_like(rows)
+    src, dst, inner = cols, np.empty_like(cols), cols.shape[1]
     for lo in range(0, u.d, g):
-        size = min(g, u.d - lo)
-        q = u.p**size
-        np.matmul(rows.reshape(-1, q), _group_matrix(u.p, size), out=scratch.reshape(-1, q))
-        np.copyto(rows.reshape(r, q, n // q), scratch.reshape(r, n // q, q).transpose(0, 2, 1))
-    return rows
+        mat = _group_matrix(u.p, min(g, u.d - lo))
+        np.matmul(mat, src.reshape(-1, len(mat), inner), out=dst.reshape(-1, len(mat), inner))
+        src, dst, inner = dst, src, inner * len(mat)
+    if src is not cols:
+        np.copyto(cols, src)
+    return cols
 
 
 def inverse(u: Universe, xhat: np.ndarray) -> np.ndarray:

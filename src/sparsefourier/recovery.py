@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft import Universe
+from .dft import Universe, grouped
 from .grids import GoodShiftError, GridSpec, ShiftParams, draw_good_shift, project
 from .reduction import reduce_h_rounds, slab_universe
 from .sampling import DOMAIN_SHIFT, AuditedSignal, SampleBundle, stream_rng
@@ -125,9 +125,9 @@ def require_memory(need: float, what: str) -> None:
 
 
 def solve_memory(u: Universe, schedule: Schedule) -> int:
-    """Tracemalloc peak of a solve: bundle and flat indices, a round's two (R, s) complex slab
-    matrices and (R, B) samples, six length-n complex vectors, 1 MiB a first solve loads (numpy.fft)."""
-    per_round = schedule.r * (32 * slab_universe(u).n + 64 * schedule.b)
+    """Tracemalloc peak of a solve: bundle and flat indices, per round (s, R) complex slab matrices
+    (two if grouped) and (R, B) samples, six length-n complex vectors, 1 MiB numpy.fft loads once."""
+    per_round = schedule.r * (16 * (1 + grouped(u.p)) * slab_universe(u).n + 64 * schedule.b)
     return schedule.budget * (u.d + 1) * 8 + per_round + 96 * u.n + 2**20
 
 

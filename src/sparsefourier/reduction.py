@@ -42,13 +42,11 @@ def slab_universe(u: Universe) -> Universe:
 
 
 def _lower_median(est: np.ndarray) -> np.ndarray:
-    """Order statistic floor((R-1)/2) over axis 0 of the real and the imaginary part of est."""
-    mid, med = (len(est) - 1) // 2, []
-    for part in (est.real, est.imag):
-        part = np.ascontiguousarray(part.T)  # (s, R): partition along contiguous rows
-        part.partition(mid, axis=1)
-        med.append(part[:, mid].copy())  # a view would keep all of part alive
-    return med[0] + 1j * med[1]
+    """Order statistic floor((R-1)/2) over axis 1 of est.real and est.imag, partitioned in place."""
+    mid = (est.shape[1] - 1) // 2
+    est.real.partition(mid, axis=1)
+    est.imag.partition(mid, axis=1)
+    return est[:, mid]
 
 
 def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) -> ReduceOutput:
@@ -83,13 +81,13 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     fast = slab_universe(u)
     s = fast.n
     scaled = residuals * (u.n / points.shape[1] * np.sqrt(s / u.n))  # n/B when s = n
-    rows, cols = np.arange(len(points))[:, None], flats % s
+    index = (flats % s, np.arange(len(points))[:, None])
     eta = np.empty(u.n, dtype=np.complex128)
-    mat = np.empty((len(points), s), dtype=np.complex128)  # one slab matrix, refilled per slab
+    mat = np.empty((s, len(points)), dtype=np.complex128)  # one slab matrix, refilled per slab
     for lo in range(0, u.n, s):  # slab [lo, lo + s) shares the slow coordinates of lo
         # lo's fast coordinates are 0, so omega^(lo.t) is the slab weight omega^(f_hi.t_hi)
         mat.fill(0)
-        np.add.at(mat, (rows, cols), scaled * characters(u, points, unflat_index(u, lo)))
+        np.add.at(mat, index, scaled * characters(u, points, unflat_index(u, lo)))
         eta[lo : lo + s] = _lower_median(slab_forward(fast, mat))
     return ReduceOutput(z=np.where(np.abs(eta) >= nu / 2, eta, 0), eta=eta)
 

@@ -168,9 +168,9 @@ def test_forward_batch_equals_rows():
         forward(u, np.zeros((5, u.n + 1)))
 
 
-def _rows(u, r, seed):
+def _cols(u, r, seed):
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((r, u.n)) + 1j * rng.standard_normal((r, u.n))
+    return rng.standard_normal((u.n, r)) + 1j * rng.standard_normal((u.n, r))
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,13 +184,14 @@ def _rows(u, r, seed):
 @example(p=2, m=11, r=1, seed=1)  # 4, 4 and 3
 @example(p=4, m=5, r=3, seed=2)  # 2, 2 and 1
 def test_slab_forward_grouped_matches_forward(p, m, r, seed):
-    # the grouped character-matrix path agrees with np.fft to rounding, for
-    # every group size, a partial last group and any batch, in place
+    # the grouped character-matrix path transforms every column of an (n, R)
+    # array as np.fft does, to rounding, for every group size, a partial last
+    # group and any batch, in place
     u = Universe(p, max(d for d in range(1, m + 1) if p**d <= 4096))
-    rows = _rows(u, r, seed)
-    ref = forward(u, rows)
-    out = slab_forward(u, rows)
-    assert out is rows
+    cols = _cols(u, r, seed)
+    ref = forward(u, cols.T).T
+    out = slab_forward(u, cols)
+    assert out is cols
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -198,14 +199,14 @@ def test_slab_forward_grouped_matches_forward(p, m, r, seed):
 def test_slab_forward_falls_back_to_forward_bits(p, d):
     # p = 1 and p >= GROUP take np.fft in place: exactly forward()'s bits
     u = Universe(p, d)
-    rows = _rows(u, 4, seed=p)
-    assert np.array_equal(slab_forward(u, rows.copy()), forward(u, rows))
+    cols = _cols(u, 4, seed=p)
+    assert np.array_equal(slab_forward(u, cols.copy()), forward(u, cols.T).T)
 
 
 def test_slab_forward_shape_errors():
     u = Universe(4, 3)
-    rows = _rows(u, 2, seed=0)
-    for bad in (rows[0], rows[:, :-1], rows.reshape(2, 2, -1), rows.real.copy(), rows.T.copy().T):
+    cols = _cols(u, 2, seed=0)
+    for bad in (cols[:, 0], cols[:-1], cols.reshape(2, -1, 2), cols.real.copy(), cols.T.copy().T):
         with pytest.raises(ValueError):
             slab_forward(u, bad)
 

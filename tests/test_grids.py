@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sparsefourier.grids import (
@@ -129,6 +131,38 @@ def test_project_array_shape():
     assert out.shape == (2, 2)
     assert out[0, 0] == 1j
     assert isinstance(project(0.2 + 0j, g), complex)
+
+
+SIDES = st.floats(1e-3, 1e3)
+COORDS = st.floats(-1e3, 1e3)
+# a/2^k: (m + 1/2) * side and its quotient by side are exact, so a tie stays a tie
+DYADIC_SIDES = st.builds(lambda a, k: a / 2**k, st.integers(1, 2**10), st.integers(-8, 8))
+
+
+@given(m=st.integers(-(2**20), 2**20), mp=st.integers(-(2**20), 2**20), side=DYADIC_SIDES)
+def test_project_rounds_half_integers_toward_zero(m, mp, side):
+    c = complex((m + 0.5) * side, (mp + 0.5) * side)
+    assert project(c, GridSpec(side)) == complex(math.trunc(m + 0.5), math.trunc(mp + 0.5)) * side
+
+
+@given(re=COORDS, im=COORDS, side=SIDES)
+def test_project_moves_no_point_beyond_half_diagonal(re, im, side):
+    c = complex(re, im)
+    assert abs(project(c, GridSpec(side)) - c) <= (1 / math.sqrt(2) + 1e-9) * side
+
+
+@given(m=st.integers(-(2**20), 2**20), mp=st.integers(-(2**20), 2**20), side=SIDES)
+def test_project_fixes_lattice_points(m, mp, side):
+    c = complex(m * side, mp * side)
+    assert project(c, GridSpec(side)) == c
+
+
+@given(re=COORDS, im=COORDS, side=SIDES, frac=st.floats(0, 0.5))
+def test_unique_box_corners_project_to_one_point(re, im, side, frac):
+    c, r, g = complex(re, im), frac * side, GridSpec(side)
+    if box_projects_uniquely(c, r, g):
+        corners = [c + dx * r + 1j * dy * r for dx in (-1, 1) for dy in (-1, 1)]
+        assert len({project(z, g) for z in corners}) == 1
 
 
 # ----------------------------------------------------- unique-rounding test

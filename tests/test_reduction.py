@@ -176,6 +176,13 @@ def test_grouped_transform_round_never_builds_the_estimate_matrix():
     assert _round_peak(u, r, b=64) < r * u.n * 16 / 4
 
 
+def test_single_slab_round_holds_one_slab_matrix():
+    # ladder-4k's round: the np.fft slab transform and the medians work in the
+    # one (s, R) slab matrix, with no transposed copy of it
+    u, r = Universe(p=16, d=3), 48
+    assert _round_peak(u, r, b=128) < 1.4 * r * u.n * 16
+
+
 def test_rejects_empty_lists_and_mismatched_universe():
     u = Universe(p=4, d=1)
     sig = AuditedSignal(u, np.zeros(4))
