@@ -14,12 +14,12 @@ sum_i f_i * p^i, i.e. coordinate 0 varies fastest. Every character
 omega^(f.t) the package uses comes from characters(); this module is the
 only one that calls np.fft.
 
-The reduction's slab transforms go through slab_forward(), in place on the R
-columns of an (n, R) matrix. np.fft pays a fixed cost for every axis, which
-dominates when the axes are short, so when grouped(p) slab_forward() merges g
-coordinates into one axis of q = p^g <= GROUP and applies it as one batched
-GEMM by a cached (q, q) character matrix. Otherwise it computes forward()'s
-np.fft result, bit for bit. forward() and inverse() always use np.fft.
+The reduction's slab transforms go through slab_forward() on the R columns of
+an (n, R) matrix, which it may overwrite. np.fft pays a fixed cost per axis,
+which dominates when the axes are short, so when grouped(p) it merges g
+coordinates into one axis of q = p^g <= GROUP, applied as one batched GEMM by
+a cached (q, q) character matrix. Otherwise it runs forward()'s np.fft in the
+matrix, bit for bit. forward() and inverse() always use np.fft.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ GROUP = 16  # axes shorter than GROUP are merged into GEMM axes of at most GROUP
 
 
 def grouped(p: int) -> bool:
-    """Whether slab_forward() on [p]^m runs GEMMs through one scratch slab, not np.fft in place."""
+    """Whether slab_forward() on [p]^m runs GEMMs through one scratch slab, not np.fft in cols."""
     return 2 <= p < GROUP
 
 
@@ -135,13 +135,14 @@ def _group_matrix(p: int, g: int) -> np.ndarray:
 
 
 def slab_forward(u: Universe, cols: np.ndarray) -> np.ndarray:
-    """forward() of every column of an (n, R) complex128 array, in place in cols and returned.
+    """forward() of every column of an (n, R) complex128 array that it may overwrite.
 
-    Unless grouped(p), this is np.fft over the leading axes, bit for bit forward()'s result.
-    Otherwise coordinates 0, 1, ... are merged into groups of g with q = p^g <= GROUP (the last
-    group may be smaller), and each group is one batched GEMM M @ X.reshape(-1, q, inner) from
-    cols into one scratch array or back, inner being R times the size of the groups before it;
-    no axis moves. Agrees with forward() to about 1e-15 of the largest output.
+    Returns the C-contiguous complex128 (n, R) array holding the result. Unless grouped(p),
+    that is cols, by np.fft over the leading axes, bit for bit forward()'s result. Otherwise
+    coordinates 0, 1, ... are merged into groups of g with q = p^g <= GROUP (the last group may
+    be smaller), and each group is one batched GEMM M @ X.reshape(-1, q, inner) from cols into
+    one scratch array or back (inner is R times the size of the groups before it), so the
+    result is whichever array the last group wrote. Agrees with forward() to about 1e-15.
     """
     if cols.ndim != 2 or len(cols) != u.n or cols.dtype != complex or not cols.flags.c_contiguous:
         raise ValueError(
@@ -158,9 +159,7 @@ def slab_forward(u: Universe, cols: np.ndarray) -> np.ndarray:
         mat = _group_matrix(u.p, min(g, u.d - lo))
         np.matmul(mat, src.reshape(-1, len(mat), inner), out=dst.reshape(-1, len(mat), inner))
         src, dst, inner = dst, src, inner * len(mat)
-    if src is not cols:
-        np.copyto(cols, src)
-    return cols
+    return src
 
 
 def inverse(u: Universe, xhat: np.ndarray) -> np.ndarray:

@@ -88,7 +88,8 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
         # lo's fast coordinates are 0, so omega^(lo.t) is the slab weight omega^(f_hi.t_hi)
         mat.fill(0)
         np.add.at(mat, index, scaled * characters(u, points, unflat_index(u, lo)))
-        eta[lo : lo + s] = _lower_median(slab_forward(fast, mat))
+        mat = slab_forward(fast, mat)  # keep the array that holds the transform, free the other
+        eta[lo : lo + s] = _lower_median(mat)
     return ReduceOutput(z=np.where(np.abs(eta) >= nu / 2, eta, 0), eta=eta)
 
 

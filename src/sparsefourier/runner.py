@@ -99,7 +99,10 @@ def run_experiment(
         seeds = [_trial_seed(spec.seed, i) for i in range(trials)]
     elif len(seeds) != trials:
         raise ValueError(f"got {len(seeds)} seeds for {trials} trials")
-    workers = int(os.environ.get("SFT_THREADS", "0"))
+    threads = os.environ.get("SFT_THREADS", "0")
+    if not threads.strip().isdecimal():
+        raise ValueError(f"SFT_THREADS must be a non-negative integer, got {threads!r}")
+    workers = int(threads)
     if workers > 1:
         in_flight = min(workers, trials)
         with ThreadPoolExecutor(max_workers=workers) as pool:

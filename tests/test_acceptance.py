@@ -1,12 +1,12 @@
-"""End-to-end acceptance gate, A1 through A10.
+"""End-to-end acceptance gate, A1 through A11.
 
 Each test prints exactly one verdict line (run with ``pytest -s`` to see
 them) of the form ``A<i> PASS|FAIL <name>: <measured values>`` and then
 asserts the same condition, so a red test and a FAIL line always agree.
-The expensive recovery batches (A5, A6) run once in module-scoped
-fixtures and are shared by the audit (A7) and shift-statistics (A10)
-checks. A2-A4 run the Monte Carlo checks of ``sparsefourier.checks`` that
-``sfft verify`` runs, at fixed seeds.
+The expensive recovery batches (A5, its noisy ladder, A6) run once in
+module-scoped fixtures and are shared by the audit (A7) and
+shift-statistics (A10) checks. A2-A4 run the Monte Carlo checks of
+``sparsefourier.checks`` that ``sfft verify`` runs, at fixed seeds.
 """
 
 import math
@@ -21,6 +21,7 @@ from sparsefourier.dft import Universe, flat_index, forward, inverse
 from sparsefourier.recovery import (
     DESK_PROFILE,
     ShiftFailure,
+    ceil_log2,
     fourier_sparse_recovery,
     fourier_sparse_recovery_by_projection,
 )
@@ -57,6 +58,7 @@ def _run_trial(spec: SignalSpec, config, driver) -> dict:
         "seed": spec.seed,
         "wall": wall,
         "mu": mu,
+        "rstar": rstar,
         "floor": floor,
         "xhat": xhat,
         "failed": failed,
@@ -80,19 +82,34 @@ def _run_trial(spec: SignalSpec, config, driver) -> dict:
     return rec
 
 
-@pytest.fixture(scope="module")
-def a5_batch():
-    """100 noisy k=8 runs on n=4096 at sup|xhat|/mu close to 2^8."""
+def _noisy_batch(p: int, d: int, log2_range: int, seeds) -> list:
+    """Noisy k=8 runs on [p]^d at sup|xhat|/mu close to 2^log2_range."""
     k = 8
-    sigma = math.sqrt(k / (U4096.n - k)) / 2.0**8
+    sigma = math.sqrt(k / (p**d - k)) / 2.0**log2_range
     return [
         _run_trial(
-            SignalSpec(p=16, d=3, k=k, sigma=sigma, seed=seed),
+            SignalSpec(p=p, d=d, k=k, sigma=sigma, seed=seed),
             DESK_PROFILE,
             fourier_sparse_recovery,
         )
-        for seed in range(100)
+        for seed in seeds
     ]
+
+
+def _hits(records) -> int:
+    return sum(1 for r in records if r["failed"] is None and r["linf"] <= r["mu"])
+
+
+@pytest.fixture(scope="module")
+def a5_batch():
+    """100 noisy k=8 runs on n=4096 at sup|xhat|/mu close to 2^8: one rung each."""
+    return _noisy_batch(16, 3, 8, range(100))
+
+
+@pytest.fixture(scope="module")
+def noisy_ladder_batch():
+    """40 noisy k=8 runs on n=4096 at sup|xhat|/mu close to 2^20: 4-5 rungs, shifts drawn."""
+    return _noisy_batch(16, 3, 20, range(1000, 1040))
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +173,7 @@ def test_a4_shift_acceptance_rate():
 
 @pytest.mark.slow
 def test_a5_noisy_recovery_guarantee(a5_batch):
-    hits = sum(1 for r in a5_batch if r["failed"] is None and r["linf"] <= r["mu"])
+    hits = _hits(a5_batch)
     slowest = max(r["wall"] for r in a5_batch)
     ok = hits >= 95 and slowest < 5.0
     assert _verdict(
@@ -164,6 +181,19 @@ def test_a5_noisy_recovery_guarantee(a5_batch):
         ok,
         f"sup-error <= mu in {hits}/100 runs (need 95)"
         f" at n=4096, k=8, sup|xhat|/mu ~ 2^8; slowest run {slowest:.2f}s (limit 5s)",
+    )
+
+
+@pytest.mark.slow
+def test_a5_noisy_ladder_guarantee(noisy_ladder_batch):
+    hits = _hits(noisy_ladder_batch)
+    rungs = sorted({len(r["shift_attempts"]) + 1 for r in noisy_ladder_batch})
+    ok = hits >= 38
+    assert _verdict(
+        "A5",
+        ok,
+        f"noisy ladder: sup-error <= mu in {hits}/40 runs (need 38)"
+        f" at n=4096, k=8, sup|xhat|/mu ~ 2^20 over {rungs} rungs",
     )
 
 
@@ -266,20 +296,54 @@ def test_a9_projection_variant_guarantee():
 
 
 @pytest.mark.slow
-def test_a10_shift_attempt_statistics(a5_batch, a6_batch):
+def test_a10_shift_attempt_statistics(a5_batch, noisy_ladder_batch, a6_batch):
     cap = 10 * math.ceil(math.log2(U4096.n))
-    a5_attempts = [a for r in a5_batch for a in r["shift_attempts"]]
-    a6_attempts = [a for recs in a6_batch.values() for r in recs for a in r["shift_attempts"]]
-
-    # the noisy batch resolves in a single rung, so it draws no shifts;
-    # the noiseless batch exercises the loop across its long ladders
-    pool = a5_attempts if a5_attempts else a6_attempts
+    # A5's noisy runs resolve in a single rung and draw no shifts; the noisy
+    # ladder and the noiseless batch exercise the loop across their rungs
+    sources = {
+        "A5": a5_batch,
+        "noisy ladder": noisy_ladder_batch,
+        "A6": [r for recs in a6_batch.values() for r in recs],
+    }
+    attempts = {name: [a for r in recs for a in r["shift_attempts"]] for name, recs in sources.items()}
+    pool = [a for pooled in attempts.values() for a in pooled]
     mean = sum(pool) / len(pool)
     worst = max(pool)
-    ok = mean <= 2.0 and worst <= cap
-    source = "A5" if a5_attempts else f"A5 vacuous (0 shift iterations), A6 ({len(pool)} iterations)"
+    ok = mean <= 2.0 and worst <= cap and len(attempts["noisy ladder"]) > 0
+    source = ", ".join(f"{name} ({len(pooled)} iterations)" for name, pooled in attempts.items())
     assert _verdict(
         "A10",
         ok,
         f"mean shift attempts {mean:.3f} <= 2, max {worst} <= {cap}; source: {source}",
+    )
+
+
+A11_SHAPES = [(4096, 1), (64, 2), (16, 3), (8, 4), (4, 6), (2, 12), (3, 7), (5, 5), (7, 4)]
+
+
+@pytest.mark.slow
+def test_a11_dimension_sweep():
+    # the guarantee and the sample count do not depend on d: every shape near
+    # n = 4096 meets mu at A5's rate, and solves whose schedules agree on
+    # ceil(log2 n) and R* (rounded up to a power of two) read the same samples
+    parts = []
+    ok = True
+    used = {}  # (ceil log2 n, log2 R*) -> {(p, d): samples_used values}
+    for p, d in A11_SHAPES:
+        records = _noisy_batch(p, d, 8, range(20))
+        hits = _hits(records)
+        ok = ok and hits >= 19
+        parts.append(f"{p}^{d}: {hits}/20")
+        for r in records:
+            if r["failed"] is None:
+                key = (ceil_log2(p**d), ceil_log2(r["rstar"]))
+                used.setdefault(key, {}).setdefault((p, d), set()).add(r["samples_used"])
+    counts = {key: set().union(*by_shape.values()) for key, by_shape in sorted(used.items())}
+    ok = ok and all(len(c) == 1 for c in counts.values())
+    assert _verdict(
+        "A11",
+        ok,
+        f"sup-error <= mu in {', '.join(parts)} runs (need 19/20) at k=8, sup|xhat|/mu ~ 2^8;"
+        " samples_used per (ceil log2 n, log2 R*): "
+        + ", ".join(f"{key}: {sorted(counts[key])} over {len(used[key])} shapes" for key in counts),
     )

@@ -186,12 +186,12 @@ def _cols(u, r, seed):
 def test_slab_forward_grouped_matches_forward(p, m, r, seed):
     # the grouped character-matrix path transforms every column of an (n, R)
     # array as np.fft does, to rounding, for every group size, a partial last
-    # group and any batch, in place
+    # group and any batch, into a C-contiguous complex128 array of that shape
     u = Universe(p, max(d for d in range(1, m + 1) if p**d <= 4096))
     cols = _cols(u, r, seed)
     ref = forward(u, cols.T).T
     out = slab_forward(u, cols)
-    assert out is cols
+    assert out.shape == cols.shape and out.dtype == np.complex128 and out.flags.c_contiguous
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

@@ -160,6 +160,13 @@ def test_emit_surfaces_path_in_io_errors(tmp_path):
         emit_report(report, "json", bad)
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_thread_count_fails_by_name(monkeypatch, value):
+    monkeypatch.setenv("SFT_THREADS", value)
+    with pytest.raises(ValueError, match=f"SFT_THREADS must be a non-negative integer, got '{value}'"):
+        run_experiment(NOISELESS, DESK_PROFILE, trials=1)
+
+
 def test_threaded_run_matches_serial(monkeypatch):
     spec = SignalSpec(p=8, d=2, k=2, sigma=0.01, seed=77)
     serial = run_experiment(spec, DESK_PROFILE, trials=4)
