@@ -90,16 +90,22 @@ def unflat_index(u: Universe, flat) -> np.ndarray:
     return coords
 
 
+@functools.cache
+def _roots(p: int, sign: int) -> np.ndarray:
+    """The p roots of unity omega^(sign*j), j in [p]: one cached read-only table per (p, sign)."""
+    roots = np.exp(sign * 2j * np.pi * np.arange(p) / p)
+    roots.flags.writeable = False  # one cached array serves every call
+    return roots
+
+
 def characters(u: Universe, points, freqs, sign: int = 1) -> np.ndarray:
     """Characters omega^(sign * f.t) at every time vector of points and frequency of freqs.
 
-    points is a (..., d) array and freqs a (d,) vector or an (s, d) array;
-    the result has shape points.shape[:-1] (+ (s,)). The integer phase
-    f.t mod p indexes a table of the p roots of unity, so every character in
-    the package is one of the same p complex numbers.
+    points is a (..., d) array and freqs a (d,) vector or an (s, d) array; the result has
+    shape points.shape[:-1] (+ (s,)). The integer phase f.t mod p indexes _roots(p, sign),
+    so every character in the package is one of the same p complex numbers.
     """
-    roots = np.exp(sign * 2j * np.pi * np.arange(u.p) / u.p)
-    return roots[(np.asarray(points) @ np.asarray(freqs).T) % u.p]
+    return _roots(u.p, sign)[(np.asarray(points) @ np.asarray(freqs).T) % u.p]
 
 
 def forward(u: Universe, x: np.ndarray) -> np.ndarray:

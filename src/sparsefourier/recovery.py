@@ -32,7 +32,7 @@ import numpy as np
 
 from .dft import Universe, grouped
 from .grids import GoodShiftError, GridSpec, ShiftParams, draw_good_shift, project
-from .reduction import reduce_h_rounds, slab_universe
+from .reduction import SCREEN, reduce_h_rounds, slab_universe
 from .sampling import DOMAIN_SHIFT, AuditedSignal, SampleBundle, stream_rng
 
 __all__ = [
@@ -125,10 +125,11 @@ def require_memory(need: float, what: str) -> None:
 
 
 def solve_memory(u: Universe, schedule: Schedule) -> int:
-    """Tracemalloc peak of a solve: bundle and flat indices, per round (s, R) complex slab matrices
-    (two if grouped) and (R, B) samples, six length-n complex vectors, 1 MiB numpy.fft loads once."""
-    per_round = schedule.r * (16 * (1 + grouped(u.p)) * slab_universe(u).n + 64 * schedule.b)
-    return schedule.budget * (u.d + 1) * 8 + per_round + 96 * u.n + 2**20
+    """Tracemalloc peak of a solve: bundle and flat indices; per round (s, R) slab matrices (two if
+    grouped), (R, B) samples, screen blocks; y, z, y + z and the round's z; 1 MiB numpy.fft."""
+    slab = 16 * (1 + grouped(u.p)) * slab_universe(u).n
+    per_round = schedule.r * (slab + 64 * schedule.b + 10 * SCREEN)
+    return schedule.budget * (u.d + 1) * 8 + per_round + 64 * u.n + 2**20
 
 
 @dataclass(frozen=True)

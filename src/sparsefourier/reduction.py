@@ -4,11 +4,13 @@ One call takes the approximation y built so far (a length-n spectrum
 array, zero off its support), R independent sample lists (an (R, B, d)
 row of a SampleBundle), and a radius nu with the promise that the
 residual spectrum xhat - y has sup norm at most 2*nu.
-For every frequency it forms R subset estimates of the residual, takes the
-coordinate-wise lower median over repetitions, and keeps the medians of
-magnitude at least nu/2. Adding the kept values to y halves the promise:
-the new residual has sup norm at most nu (with high probability in the
-sample draws).
+For every frequency it forms R subset estimates of the residual and keeps the
+coordinate-wise lower median over repetitions where its magnitude is at least
+nu/2. Adding the kept values to y halves the promise: the new residual has sup
+norm at most nu (with high probability in the sample draws). A kept median has
+a real or imaginary part of size >= nu/(2*sqrt 2), so more than (R-1)//2 of the
+estimates have that part as large: a frequency takes a median only if that many
+have a part of size >= 0.35*nu (1 % lower, for rounding; NaN counts as large).
 
 Running H such rounds against the rows of a SampleBundle walks the radius
 down from nu to 2^(1-H)*nu.
@@ -16,7 +18,7 @@ down from nu to 2^(1-H)*nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +28,14 @@ from .sampling import AuditedSignal, SampleBundle
 __all__ = ["ReduceOutput", "slab_universe", "linfinity_reduce", "reduce_h_rounds"]
 
 SLAB = 2**12  # a round holds the R estimates of at most SLAB frequencies at once
+SCREEN = 256  # slab rows screened at once; their candidates are copied at most SCREEN//4 at a time
 
 
 @dataclass
 class ReduceOutput:
-    """Kept entries z of one round (zero elsewhere), and the medians eta they were cut from."""
+    """Kept entries z of one round: the medians of magnitude >= nu/2, zero elsewhere."""
 
     z: np.ndarray
-    eta: np.ndarray = field(repr=False)
 
 
 def slab_universe(u: Universe) -> Universe:
@@ -41,12 +43,18 @@ def slab_universe(u: Universe) -> Universe:
     return Universe(u.p, max((m for m in range(2, u.d + 1) if u.p**m <= SLAB), default=1))
 
 
-def _lower_median(est: np.ndarray) -> np.ndarray:
-    """Order statistic floor((R-1)/2) over axis 1 of est.real and est.imag, partitioned in place."""
-    mid = (est.shape[1] - 1) // 2
-    est.real.partition(mid, axis=1)
-    est.imag.partition(mid, axis=1)
-    return est[:, mid]
+def _kept_medians(est: np.ndarray, nu: float, out: np.ndarray) -> None:
+    """Write the lower medians m of est's (s, R) rows with |m| >= nu/2 into out, which is zero."""
+    r, mid = est.shape[1], (est.shape[1] - 1) // 2
+    for b in range(0, len(est), SCREEN):
+        blk = est[b : b + SCREEN]
+        small = (np.abs(blk.real) < 0.35 * nu) & (np.abs(blk.imag) < 0.35 * nu)
+        cand = b + np.flatnonzero(small.sum(axis=1, dtype=np.int32) <= r // 2)
+        for rows in (cand[j : j + SCREEN // 4] for j in range(0, len(cand), SCREEN // 4)):
+            med = est[rows]  # a copy of at most SCREEN//4 rows, partitioned in place
+            med.real.partition(mid, axis=1)
+            med.imag.partition(mid, axis=1)
+            out[rows] = np.where(np.abs(med[:, mid]) >= nu / 2, med[:, mid], 0)
 
 
 def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) -> ReduceOutput:
@@ -61,7 +69,7 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     Medians come one slab of s = p^m flat frequencies sharing f_hi = (f_m..f_{d-1})
     at a time: samples weighted by omega^(f_hi.t_hi) feed one batched m-dim transform
     (dft.slab_forward: grouped character-matrix GEMMs for p < dft.GROUP, an FFT
-    otherwise); with s = n that is one n-point transform.
+    otherwise); with s = n that is one n-point transform. _kept_medians screens it.
     """
     if nu <= 0:
         raise ValueError(f"radius nu must be positive, got {nu}")
@@ -82,15 +90,15 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     s = fast.n
     scaled = residuals * (u.n / points.shape[1] * np.sqrt(s / u.n))  # n/B when s = n
     index = (flats % s, np.arange(len(points))[:, None])
-    eta = np.empty(u.n, dtype=np.complex128)
+    z = np.zeros(u.n, dtype=np.complex128)
     mat = np.empty((s, len(points)), dtype=np.complex128)  # one slab matrix, refilled per slab
     for lo in range(0, u.n, s):  # slab [lo, lo + s) shares the slow coordinates of lo
         # lo's fast coordinates are 0, so omega^(lo.t) is the slab weight omega^(f_hi.t_hi)
         mat.fill(0)
         np.add.at(mat, index, scaled * characters(u, points, unflat_index(u, lo)))
         mat = slab_forward(fast, mat)  # keep the array that holds the transform, free the other
-        eta[lo : lo + s] = _lower_median(mat)
-    return ReduceOutput(z=np.where(np.abs(eta) >= nu / 2, eta, 0), eta=eta)
+        _kept_medians(mat, nu, z[lo : lo + s])
+    return ReduceOutput(z=z)
 
 
 def reduce_h_rounds(

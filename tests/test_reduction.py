@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from conftest import lower_median, subset_transform_dense, subset_transform_single
 from sparsefourier.dft import Universe, flat_index, inverse, sparse_eval_time, unflat_index
-from sparsefourier.reduction import linfinity_reduce, reduce_h_rounds, slab_universe
+from sparsefourier.reduction import _kept_medians, linfinity_reduce, reduce_h_rounds, slab_universe
 from sparsefourier.sampling import AuditedSignal, SampleBundle
 
 
@@ -76,7 +76,8 @@ def test_one_sparse_signal_recovered_in_one_round():
 
 
 def test_thresholding_and_median_support():
-    # every kept value has magnitude >= nu/2 and equals its median estimate
+    # z keeps exactly the medians of magnitude >= nu/2, each equal to the dense
+    # estimator's lower median, and is zero at every other frequency
     u = Universe(p=8, d=2)
     xhat = np.zeros(u.n, dtype=np.complex128)
     xhat[[2, 9, 33]] = [1.0, -0.8 + 0.1j, 0.5j]
@@ -85,13 +86,16 @@ def test_thresholding_and_median_support():
 
     lists = _draw_lists(u, r=7, b=32, seed=6)
     out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=nu)
-    assert out.eta.shape == out.z.shape == (u.n,)
+    flats = flat_index(u, lists)
+    dense = subset_transform_dense(u, x[flats], flats)
+    eta = lower_median(dense.real) + 1j * lower_median(dense.imag)
+    assert out.z.shape == (u.n,)
+    assert np.min(np.abs(np.abs(eta) - nu / 2)) > 1e-9  # no median on the threshold
     kept = np.flatnonzero(out.z)
     assert len(kept) > 0
     assert np.all(np.abs(out.z[kept]) >= nu / 2)
-    assert np.array_equal(out.z[kept], out.eta[kept])
-    below = np.abs(out.eta) < nu / 2
-    assert not out.z[below].any()
+    assert kept.tolist() == np.flatnonzero(np.abs(eta) >= nu / 2).tolist()
+    assert_allclose(out.z[kept], eta[kept], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("time_eval", ["sparse", "dense"])
@@ -105,7 +109,8 @@ def test_medians_match_per_list_estimates(time_eval):
     y = _spectrum(u, {1: 0.3 + 0.1j, 7: -0.2j})
     lists = _draw_lists(u, r=6, b=10, seed=8)
 
-    out = linfinity_reduce(_audited(u, x, lists), y, lists, nu=0.1)
+    # nu small enough that every nonzero median is kept, so z holds all of them
+    out = linfinity_reduce(_audited(u, x, lists), y, lists, nu=2.0**-1000)
 
     def y_at(t):
         if time_eval == "sparse":
@@ -122,7 +127,7 @@ def test_medians_match_per_list_estimates(time_eval):
     manual = (
         np.sort(per_list.real, axis=0)[idx] + 1j * np.sort(per_list.imag, axis=0)[idx]
     )
-    assert_allclose(out.eta, manual, atol=1e-10)
+    assert_allclose(out.z, manual, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -144,8 +149,52 @@ def test_slab_medians_match_the_dense_estimator(shape, r, b, seed):
     dense = subset_transform_dense(u, x[flats], flats)
     expected = lower_median(dense.real) + 1j * lower_median(dense.imag)
 
-    eta = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=1.0).eta
-    assert np.max(np.abs(eta - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # nu small enough that every nonzero median is kept, so z holds all of them
+    z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=2.0**-1000).z
+    assert np.max(np.abs(z - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.sampled_from([1, 2, 3, 48, 64]),
+    s=st.integers(1, 600),
+    nu=st.sampled_from([1.0, 0.3, 2.0**-30, 2.0**40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_keeps_every_median_that_can_pass(r, s, nu, seed):
+    # rows whose medians the screen skips could not have passed: the result is
+    # np.where(|median| >= nu/2, median, 0) bit for bit, with each part's median
+    # at +-nu/2 * (1 +- 2^-40), +-nu/2, +-nu/(2*sqrt 2) or 0, on ties, with NaNs
+    rng = np.random.default_rng(seed)
+    edges = nu * np.array([0.5 * (1 + 2.0**-40), 0.5 * (1 - 2.0**-40), 0.5, 0.5 / np.sqrt(2), 0])
+    pos = np.arange(r)
+    mid = (r - 1) // 2
+    parts = []
+    for _ in range(2):  # each part in sorted order: order statistic mid is v
+        v = rng.choice(edges, size=(s, 1)) * rng.choice([-1.0, 1.0], size=(s, 1))
+        offs = rng.uniform(0, nu, size=(s, r)) * rng.integers(0, 2, size=(s, r))  # 0 is a tie
+        offs[:, mid] = 0
+        part = v + np.where(pos < mid, -offs, offs)
+        # in half the rows the entries on the side of the median nearer 0 are 0, so
+        # only the other side has magnitude >= |v|: the case the screen must not miss
+        near_zero = np.where(v >= 0, pos < mid, pos > mid) & (rng.random((s, 1)) < 0.5)
+        parts.append(np.where(near_zero, 0.0, part))
+    # reversing the imaginary order in half the rows makes the two parts' large
+    # sides share as few estimates as possible, so most sizes come from one part
+    flip = rng.random((s, 1)) < 0.5
+    est = parts[0] + 1j * np.where(flip, parts[1][:, ::-1], parts[1])
+    est = np.take_along_axis(est, rng.permuted(np.tile(pos, (s, 1)), axis=1), axis=1)
+    # + 0.0 turns -0.0 into 0.0: a sort and a partition may return either of a tied pair
+    est.real += 0.0
+    est.imag += 0.0
+    est[rng.random((s, r)) < 0.01] = np.nan
+    expected = np.empty(s, dtype=np.complex128)
+    expected.real, expected.imag = lower_median(est.real.T), lower_median(est.imag.T)
+    expected = np.where(np.abs(expected) >= nu / 2, expected, 0)
+
+    out = np.zeros(s, dtype=np.complex128)
+    _kept_medians(est, nu, out)
+    assert out.tobytes() == expected.tobytes()
 
 
 def _round_peak(u, r, b):
