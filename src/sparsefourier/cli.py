@@ -16,8 +16,8 @@ import dataclasses
 import sys
 
 from .checks import CHECKS
-from .recovery import DESK_PROFILE, RecoveryConfig, ShiftFailure
-from .runner import emit_report, run_experiment
+from .recovery import DESK_PROFILE, ShiftFailure
+from .runner import ALGORITHMS, emit_report, run_experiment
 from .sampling import AuditViolation
 from .signals import SignalSpec
 
@@ -30,7 +30,7 @@ def _add_signal_args(sub):
     sub.add_argument("--k", type=int, required=True, help="sparsity")
     sub.add_argument("--sigma", type=float, default=0.0, help="frequency-domain noise level")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--algo", choices=("main", "warmup"), default="main")
+    sub.add_argument("--algo", choices=ALGORITHMS, default="main")
     sub.add_argument(
         "--set",
         action="append",
@@ -60,16 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_overrides(pairs) -> dict:
-    types = {f.name: f.type for f in dataclasses.fields(RecoveryConfig)}
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"expected NAME=VALUE, got {pair!r}")
         name, value = pair.split("=", 1)
         key = name.strip().lower().replace("-", "_")
-        if key not in types:
-            raise ValueError(f"unknown constant {name!r}; choose from {sorted(types)}")
-        cast = int if types[key] == "int" else float
+        if key not in vars(DESK_PROFILE):
+            raise ValueError(f"unknown constant {name!r}; choose from {sorted(vars(DESK_PROFILE))}")
+        cast = type(getattr(DESK_PROFILE, key))
         try:
             out[key] = cast(value)
         except ValueError:

@@ -1,4 +1,4 @@
-"""Top-level sparse recovery drivers and their constants schedule.
+"""Top-level sparse recovery driver and its constants schedule.
 
 The main driver alternates two moves on a shrinking radius ladder
 nu_l = 2^(-l) * mu * R*:
@@ -13,8 +13,9 @@ nu_l = 2^(-l) * mu * R*:
      without the support drifting.
 
 After the last rung the residual bound is 2^(1-H)*nu_L = mu, the noise
-level, and y is returned as-is. The warm-up variant skips the shift and
-uses a fixed small H; it is only meant for k = O(log n).
+level, and y is returned as-is. With warmup=True the same driver skips the
+shift, uses a fixed small H and a coarser lattice; it is only meant for
+k = O(log n).
 
 All sample positions are drawn up front as one SampleBundle and declared
 to the audited signal, so a completed run has read exactly B*R*H points.
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft import Universe, grouped
+from .dft import Universe
 from .grids import GoodShiftError, GridSpec, ShiftParams, draw_good_shift, project
-from .reduction import SCREEN, reduce_h_rounds, slab_universe
+from .reduction import reduce_h_rounds, round_memory
 from .sampling import DOMAIN_SHIFT, AuditedSignal, SampleBundle, stream_rng
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "require_memory",
     "solve_memory",
     "fourier_sparse_recovery",
-    "fourier_sparse_recovery_by_projection",
 ]
 
 
@@ -56,7 +56,7 @@ __all__ = [
 C_S = 26
 # shift draws allowed per rung, per bit of log2 n
 MAX_SHIFT_ATTEMPTS_FACTOR = 10
-# the projection-only variant's rounds per rung and lattice side / nu
+# the warm-up variant's rounds per rung and lattice side / nu
 WARMUP_H = 5
 WARMUP_GRID = 0.6
 
@@ -87,13 +87,9 @@ class RecoveryConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not (0 < self.alpha < self.beta < 0.1):
+        if not (0 < self.alpha <= self.beta / 2 and self.beta < 0.1):
             raise ValueError(
-                f"need 0 < alpha < beta < 0.1, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if self.alpha > self.beta / 2:
-            raise ValueError(
-                f"shift radius must leave rounding room: alpha <= beta/2,"
+                f"need 0 < alpha <= beta/2 and beta < 0.1 (the shift must leave rounding room),"
                 f" got alpha={self.alpha}, beta={self.beta}"
             )
         if not 0 < self.mu_min < math.inf:
@@ -101,7 +97,7 @@ class RecoveryConfig:
 
 
 PAPER_PROFILE = RecoveryConfig(c_b=10**6, c_r=10**3, c_h=20, alpha=1e-3, beta=0.04)
-DESK_PROFILE = RecoveryConfig(c_b=8, c_r=4, c_h=3, alpha=0.02, beta=0.08)
+DESK_PROFILE = RecoveryConfig()
 
 
 def ceil_log2(x) -> int:
@@ -125,10 +121,9 @@ def require_memory(need: float, what: str) -> None:
 
 
 def solve_memory(u: Universe, schedule: Schedule) -> int:
-    """Tracemalloc peak of a solve: bundle and flat indices; per round (s, R) slab matrices (two if
-    grouped), (R, B) samples, screen blocks; y, z, y + z and the round's z; 1 MiB numpy.fft."""
-    slab = 16 * (1 + grouped(u.p)) * slab_universe(u).n
-    per_round = schedule.r * (slab + 64 * schedule.b + 10 * SCREEN)
+    """Tracemalloc peak of a solve: bundle and flat indices; one round's buffers (round_memory);
+    y, z, y + z and the round's z; 1 MiB numpy.fft."""
+    per_round = round_memory(u, schedule.r, schedule.b)
     return schedule.budget * (u.d + 1) * 8 + per_round + 64 * u.n + 2**20
 
 
@@ -158,13 +153,13 @@ def build_schedule(
     """Resolve (B, R, H, L) and the radius ladder for one run.
 
     R* is rounded up to a power of two, so the ladder ends exactly at
-    2^(1-H) * nu_L = mu for the main driver. H takes the larger of the
-    nominal value ceil(log2 k) + c_h and a floor that keeps the shift
-    rejection loop fast: with at most C_S*k occupied coefficients, a
-    per-attempt failure chance of at most 1/2 needs the box radius
-    2^(1-H)*nu below alpha*nu / (4*C_S*k). Small-constant profiles would
-    otherwise make good shifts astronomically rare for k beyond a handful.
-    The cap at log2 R* always wins when the ladder is short.
+    2^(1-H) * nu_L = mu (a warm-up run with log2 R* < H keeps one rung).
+    H takes the larger of the nominal value ceil(log2 k) + c_h and a floor
+    that keeps the shift rejection loop fast: with at most C_S*k occupied
+    coefficients, a per-attempt failure chance of at most 1/2 needs the box
+    radius 2^(1-H)*nu below alpha*nu / (4*C_S*k). Small-constant profiles
+    would otherwise make good shifts astronomically rare for k beyond a
+    handful. The cap at log2 R* always wins when the ladder is short.
     """
     if k < 1:
         raise ValueError(f"sparsity k must be at least 1, got {k}")
@@ -180,11 +175,10 @@ def build_schedule(
     r = config.c_r * ceil_log2(n)
     if warmup:
         h = WARMUP_H
-        ell = max(1, log2_rstar - h + 1)
     else:
         h_fast = math.ceil(3 + math.log2(C_S * k / config.alpha))
         h = min(max(ceil_log2(k) + config.c_h, h_fast), log2_rstar)
-        ell = log2_rstar - h + 1
+    ell = max(1, log2_rstar - h + 1)
     rstar_pow = float(2.0**log2_rstar)
     nus = tuple(2.0 ** (-i) * mu * rstar_pow for i in range(1, ell + 1))
     return Schedule(b=b, r=r, h=h, l=ell, nus=nus)
@@ -224,25 +218,40 @@ class RecoveryResult:
         return max((d.shift_attempts for d in self.diagnostics), default=0)
 
 
-def _drive(
+def fourier_sparse_recovery(
     x: AuditedSignal,
-    schedule: Schedule,
-    config: RecoveryConfig,
-    entropy: int,
-    use_shift: bool,
-    grid_scale: float,
+    k: int,
+    mu: float,
+    rstar: float,
+    config: RecoveryConfig = DESK_PROFILE,
+    rng: int = 0,
+    warmup: bool = False,
 ) -> RecoveryResult:
+    """Recover an O(k)-sparse spectrum approximation with sup error mu.
+
+    mu bounds the noise level (1/sqrt(k) times the l2 norm of the
+    spectrum's tail) and rstar bounds sup|xhat| / mu; both come from the
+    caller, typically an oracle or prior knowledge. rng is the integer
+    seed every random choice of the run derives from.
+
+    warmup=True runs the shift-free variant, meant for k = O(log n): H =
+    WARMUP_H rounds per rung and a coarser lattice of side WARMUP_GRID * nu,
+    whose cells are wide enough that no random shift is needed: the
+    post-reduction residual 2^(1-H)*nu plus the projection displacement
+    still fits inside half the next rung's radius.
+    """
     u = x.universe
+    schedule = build_schedule(config, u.n, k, mu, rstar, warmup)
     require_memory(solve_memory(u, schedule), f"B*R*H = {schedule.budget} samples and their solve")
-    bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
+    bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, rng)
     x.grant_bundle(bundle)
     cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)
+    side = WARMUP_GRID if warmup else config.beta
 
     # y is a length-n spectrum, zero off its support
     y = np.zeros(u.n, dtype=np.complex128)
     diags = []
-    for ell in range(1, schedule.l + 1):
-        nu = schedule.nus[ell - 1]
+    for ell, nu in enumerate(schedule.nus, start=1):
         w = y + reduce_h_rounds(x, y, bundle, nu)
         supp = np.flatnonzero(w)
         if ell == schedule.l:
@@ -252,19 +261,19 @@ def _drive(
 
         shift = 0j
         attempts = 0
-        if use_shift:
+        if not warmup:
             params = ShiftParams(
                 r_s=config.alpha * nu, r_b=2.0 ** (1 - schedule.h) * nu, r_g=config.beta * nu
             )
             try:
                 shift, attempts = draw_good_shift(
-                    w[supp], params, stream_rng(entropy, DOMAIN_SHIFT, ell), cap
+                    w[supp], params, stream_rng(rng, DOMAIN_SHIFT, ell), cap
                 )
             except GoodShiftError as exc:
                 raise ShiftFailure(ell, exc.attempts) from exc
 
         y = np.zeros_like(w)
-        y[supp] = project(w[supp] + shift, GridSpec(grid_scale * nu))
+        y[supp] = project(w[supp] + shift, GridSpec(side * nu))
         diags.append(IterationDiag(nu, shift, attempts, len(supp), np.count_nonzero(y)))
 
     return RecoveryResult(
@@ -273,41 +282,3 @@ def _drive(
         samples_used=math.prod(bundle.points.shape[:-1]),
         schedule=schedule,
     )
-
-
-def fourier_sparse_recovery(
-    x: AuditedSignal,
-    k: int,
-    mu: float,
-    rstar: float,
-    config: RecoveryConfig = DESK_PROFILE,
-    rng: int = 0,
-) -> RecoveryResult:
-    """Recover an O(k)-sparse spectrum approximation with sup error mu.
-
-    mu bounds the noise level (1/sqrt(k) times the l2 norm of the
-    spectrum's tail) and rstar bounds sup|xhat| / mu; both come from the
-    caller, typically an oracle or prior knowledge. rng is the integer
-    seed every random choice of the run derives from.
-    """
-    schedule = build_schedule(config, x.universe.n, k, mu, rstar)
-    return _drive(x, schedule, config, rng, True, config.beta)
-
-
-def fourier_sparse_recovery_by_projection(
-    x: AuditedSignal,
-    k: int,
-    mu: float,
-    rstar: float,
-    config: RecoveryConfig = DESK_PROFILE,
-    rng: int = 0,
-) -> RecoveryResult:
-    """Shift-free variant with H = WARMUP_H; meant for k = O(log n).
-
-    Uses a coarser lattice (side WARMUP_GRID * nu) whose cells are wide
-    enough that no random shift is needed: the post-reduction residual
-    2^(1-H)*nu plus the projection displacement still fits inside half the
-    next rung's radius.
-    """
-    schedule = build_schedule(config, x.universe.n, k, mu, rstar, warmup=True)
-    return _drive(x, schedule, config, rng, False, WARMUP_GRID)

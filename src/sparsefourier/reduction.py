@@ -22,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import Universe, characters, flat_index, slab_forward, sparse_eval_time, unflat_index
+from .dft import (
+    Universe, characters, flat_index, grouped, slab_forward, sparse_eval_time, unflat_index
+)
 from .sampling import AuditedSignal, SampleBundle
 
-__all__ = ["ReduceOutput", "slab_universe", "linfinity_reduce", "reduce_h_rounds"]
+__all__ = ["ReduceOutput", "slab_universe", "round_memory", "linfinity_reduce", "reduce_h_rounds"]
 
 SLAB = 2**12  # a round holds the R estimates of at most SLAB frequencies at once
 SCREEN = 256  # slab rows screened at once; their candidates are copied at most SCREEN//4 at a time
@@ -41,6 +43,12 @@ class ReduceOutput:
 def slab_universe(u: Universe) -> Universe:
     """[p]^m of a slab's fast coordinates: the largest m <= d with p^m <= SLAB, m >= 1."""
     return Universe(u.p, max((m for m in range(2, u.d + 1) if u.p**m <= SLAB), default=1))
+
+
+def round_memory(u: Universe, r: int, b: int) -> int:
+    """Bytes a round of R lists of B points holds besides its length-n vectors: the (s, R)
+    slab matrix (and the grouped transform's scratch), the (R, B) samples and screen blocks."""
+    return r * (16 * (1 + grouped(u.p)) * slab_universe(u).n + 64 * b + 10 * SCREEN)
 
 
 def _kept_medians(est: np.ndarray, nu: float, out: np.ndarray) -> None:
@@ -71,8 +79,8 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     (dft.slab_forward: grouped character-matrix GEMMs for p < dft.GROUP, an FFT
     otherwise); with s = n that is one n-point transform. _kept_medians screens it.
     """
-    if nu <= 0:
-        raise ValueError(f"radius nu must be positive, got {nu}")
+    if not 0 < nu < np.inf:
+        raise ValueError(f"radius nu must be positive and finite, got nu={nu}")
     u = signal.universe
     y = np.asarray(y)
     if y.shape != (u.n,):

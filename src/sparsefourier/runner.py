@@ -23,7 +23,6 @@ from .recovery import (
     RecoveryConfig,
     build_schedule,
     fourier_sparse_recovery,
-    fourier_sparse_recovery_by_projection,
     require_memory,
     solve_memory,
 )
@@ -34,10 +33,7 @@ __all__ = ["Report", "run_experiment", "run_single_trial", "emit_report", "repor
 
 SCHEMA_VERSION = "2"
 
-ALGORITHMS = {
-    "main": fourier_sparse_recovery,
-    "warmup": fourier_sparse_recovery_by_projection,
-}
+ALGORITHMS = ("main", "warmup")
 
 
 @dataclass(frozen=True)
@@ -60,19 +56,21 @@ def run_single_trial(
     spec: SignalSpec, config: RecoveryConfig, algorithm: str, trial_seed: int, in_flight: int = 1
 ) -> Metrics:
     """One seeded trial; in_flight trials of this size run at once and share physical memory."""
-    driver = ALGORITHMS[algorithm]
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    warmup = algorithm == "warmup"
     u = spec.universe
     x, xhat = gen_signal(dataclasses.replace(spec, seed=trial_seed))
     _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=config.mu_min)
     floor = noise_floor_value(x, mu, mu_min_scale=config.mu_min)
     # x, xhat and the audited copy with its two masks stay alive through the solve
-    schedule = build_schedule(config, u.n, spec.k, floor, rstar, warmup=algorithm == "warmup")
+    schedule = build_schedule(config, u.n, spec.k, floor, rstar, warmup)
     need = 50 * u.n + solve_memory(u, schedule)
     require_memory(in_flight * need, f"{in_flight} trial(s) on n = {u.n} points at once would")
 
     sig = AuditedSignal(u, x)
     t0 = time.perf_counter()
-    result = driver(sig, spec.k, mu=floor, rstar=rstar, config=config, rng=trial_seed)
+    result = fourier_sparse_recovery(sig, spec.k, floor, rstar, config, trial_seed, warmup)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     return compute_metrics(u, xhat, spec.k, result, trial_seed, wall_ms, mu, floor)
@@ -92,8 +90,6 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
 
     if seeds is None:
         seeds = [_trial_seed(spec.seed, i) for i in range(trials)]
@@ -134,17 +130,9 @@ def run_experiment(
     )
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def report_to_dict(report: Report) -> dict:
     """Plain-data form of the report, exactly what the JSON file holds."""
-    return _jsonable(dataclasses.asdict(report))
+    return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 CSV_COLUMNS = ("seed", "linf_error", "guarantee_ok", "samples_used", "wall_ms", "attempts_total")

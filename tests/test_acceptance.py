@@ -23,7 +23,6 @@ from sparsefourier.recovery import (
     ShiftFailure,
     ceil_log2,
     fourier_sparse_recovery,
-    fourier_sparse_recovery_by_projection,
 )
 from sparsefourier.reduction import linfinity_reduce
 from sparsefourier.sampling import AuditedSignal, AuditViolation, SampleBundle
@@ -37,7 +36,7 @@ def _verdict(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _run_trial(spec: SignalSpec, config, driver) -> dict:
+def _run_trial(spec: SignalSpec, config, warmup=False) -> dict:
     """One audited recovery run with everything A5/A6/A7/A10 need."""
     u = spec.universe
     x, xhat = gen_signal(spec)
@@ -48,7 +47,9 @@ def _run_trial(spec: SignalSpec, config, driver) -> dict:
     start = time.perf_counter()
     failed = None
     try:
-        result = driver(sig, spec.k, floor, rstar, config=config, rng=spec.seed)
+        result = fourier_sparse_recovery(
+            sig, spec.k, floor, rstar, config=config, rng=spec.seed, warmup=warmup
+        )
     except ShiftFailure as exc:
         failed = str(exc)
         result = None
@@ -87,11 +88,7 @@ def _noisy_batch(p: int, d: int, log2_range: int, seeds) -> list:
     k = 8
     sigma = math.sqrt(k / (p**d - k)) / 2.0**log2_range
     return [
-        _run_trial(
-            SignalSpec(p=p, d=d, k=k, sigma=sigma, seed=seed),
-            DESK_PROFILE,
-            fourier_sparse_recovery,
-        )
+        _run_trial(SignalSpec(p=p, d=d, k=k, sigma=sigma, seed=seed), DESK_PROFILE)
         for seed in seeds
     ]
 
@@ -118,11 +115,7 @@ def a6_batch():
     out = {}
     for k in (1, 4, 16):
         out[k] = [
-            _run_trial(
-                SignalSpec(p=16, d=3, k=k, seed=100 * k + i),
-                DESK_PROFILE,
-                fourier_sparse_recovery,
-            )
+            _run_trial(SignalSpec(p=16, d=3, k=k, seed=100 * k + i), DESK_PROFILE)
             for i in range(20)
         ]
     return out
@@ -281,7 +274,7 @@ def test_a9_projection_variant_guarantee():
         _run_trial(
             SignalSpec(p=16, d=3, k=k, sigma=sigma, seed=900 + i),
             DESK_PROFILE,
-            fourier_sparse_recovery_by_projection,
+            warmup=True,
         )
         for i in range(100)
     ]

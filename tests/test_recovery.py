@@ -22,7 +22,6 @@ from sparsefourier.recovery import (
     build_schedule,
     ceil_log2,
     fourier_sparse_recovery,
-    fourier_sparse_recovery_by_projection,
 )
 from sparsefourier.reduction import reduce_h_rounds
 from sparsefourier.sampling import AuditedSignal, SampleBundle
@@ -289,9 +288,10 @@ def test_solver_outputs_are_pinned(case):
         _, mu, rstar = oracle_top_k(u, x, spec.k, mu_min_scale=DESK_PROFILE.mu_min)
         k, mu, seed = spec.k, noise_floor_value(x, mu, DESK_PROFILE.mu_min), spec.seed
     warmup = case.endswith("warmup")
-    driver = fourier_sparse_recovery_by_projection if warmup else fourier_sparse_recovery
     sig = AuditedSignal(u, x)
-    res = driver(sig, k, mu=mu, rstar=rstar, config=DESK_PROFILE, rng=seed)
+    res = fourier_sparse_recovery(
+        sig, k, mu=mu, rstar=rstar, config=DESK_PROFILE, rng=seed, warmup=warmup
+    )
 
     y, diags, used = PINNED[case]
     assert sorted(res.y) == sorted(y)
@@ -382,8 +382,8 @@ def test_warmup_noiseless_exact():
     rstar = np.max(np.abs(xhat)) / mu
 
     sig = AuditedSignal(u, x)
-    res = fourier_sparse_recovery_by_projection(
-        sig, k=2, mu=mu, rstar=rstar, config=DESK_PROFILE, rng=7
+    res = fourier_sparse_recovery(
+        sig, k=2, mu=mu, rstar=rstar, config=DESK_PROFILE, rng=7, warmup=True
     )
     assert set(res.y) == {9, 33}
     for f in res.y:
@@ -400,8 +400,8 @@ def test_warmup_single_rung_equals_reduce_rounds():
     mu, rstar, entropy = 2.0**-5, 2**5, 19
 
     sig = AuditedSignal(u, x)
-    res = fourier_sparse_recovery_by_projection(
-        sig, k=1, mu=mu, rstar=rstar, config=DESK_PROFILE, rng=entropy
+    res = fourier_sparse_recovery(
+        sig, k=1, mu=mu, rstar=rstar, config=DESK_PROFILE, rng=entropy, warmup=True
     )
     assert res.schedule.l == 1
 
@@ -419,8 +419,8 @@ def test_warmup_hits_noise_target_on_tall_ladder():
     mu = 2.0**-20
 
     sig = AuditedSignal(u, x)
-    res = fourier_sparse_recovery_by_projection(
-        sig, k=1, mu=mu, rstar=2**20, config=DESK_PROFILE, rng=23
+    res = fourier_sparse_recovery(
+        sig, k=1, mu=mu, rstar=2**20, config=DESK_PROFILE, rng=23, warmup=True
     )
     assert res.schedule.l == 16
     assert _residual_linf(u, xhat, res.y) <= mu

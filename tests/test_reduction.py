@@ -256,8 +256,9 @@ def test_rejects_y_that_is_not_a_length_n_array(y):
 def test_rejects_nonpositive_nu():
     u = Universe(p=4, d=1)
     lists = _draw_lists(u, r=2, b=4, seed=0)
-    with pytest.raises(ValueError):
-        linfinity_reduce(_audited(u, np.zeros(4), lists), np.zeros(4), lists, nu=0.0)
+    for nu in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nu="):
+            linfinity_reduce(_audited(u, np.zeros(4), lists), np.zeros(4), lists, nu=nu)
 
 
 def test_determinism():
