@@ -4,13 +4,28 @@ One call takes the approximation y built so far (a length-n spectrum
 array, zero off its support), R independent sample lists (an (R, B, d)
 row of a SampleBundle), and a radius nu with the promise that the
 residual spectrum xhat - y has sup norm at most 2*nu.
-For every frequency it forms R subset estimates of the residual and keeps the
-coordinate-wise lower median over repetitions where its magnitude is at least
-nu/2. Adding the kept values to y halves the promise: the new residual has sup
-norm at most nu (with high probability in the sample draws). A kept median has
-a real or imaginary part of size >= nu/(2*sqrt 2), so more than (R-1)//2 of the
-estimates have that part as large: a frequency takes a median only if that many
-have a part of size >= 0.35*nu (1 % lower, for rounding; NaN counts as large).
+Each list j defines a subset estimate of the residual at every frequency, and
+the round keeps the coordinate-wise lower median over lists where its magnitude
+is at least nu/2; it computes only the estimates that can decide a kept median.
+Adding the kept values to y halves the promise: the new residual has sup norm at
+most nu (with high probability in the sample draws).
+
+A median is decided by a majority, and the round uses that to skip work
+exactly. A kept median has a real or imaginary part of size >= nu/(2*sqrt 2),
+so more than (R-1)//2 of the estimates have that part as large. Call an
+estimate small when both parts are below 0.35*nu (1 % lower, for rounding; NaN
+counts as large): a row with more than R//2 small estimates keeps nothing.
+  - Skip: list j's estimates have parts of size at most
+    M_j = (sqrt(n)/B) * sum_t |r_t| over its residual samples r_t. If more than
+    R//2 lists have M_j*(1 + 1e-9) < 0.35*nu (the margin covers the transform's
+    rounding), every row has a majority of small estimates, and the round
+    returns z = 0 after its reads, with no transform.
+  - Majority first: per slab, only the first m = min(R, R//2 + 1 + SPARE) lists
+    are transformed. A row with more than R//2 small estimates among those m is
+    dropped. Only the survivors get the other R - m estimates: from characters()
+    at those rows while rows * B <= CROSS * s, otherwise from a transform of
+    the tail lists. Their R estimates are screened again and, where a median can
+    still pass, partitioned for it.
 
 Running H such rounds against the rows of a SampleBundle walks the radius
 down from nu to 2^(1-H)*nu.
@@ -29,8 +44,10 @@ from .sampling import AuditedSignal, SampleBundle
 
 __all__ = ["ReduceOutput", "slab_universe", "round_memory", "linfinity_reduce", "reduce_h_rounds"]
 
-SLAB = 2**12  # a round holds the R estimates of at most SLAB frequencies at once
+SLAB = 2**12  # a round transforms at most SLAB frequencies at once
 SCREEN = 256  # slab rows screened at once; their candidates are copied at most SCREEN//4 at a time
+SPARE = 4  # lists transformed first beyond the R//2 + 1 that can outvote a median
+CROSS = 2  # survivors get their tail from characters() while rows * B <= CROSS * s
 
 
 @dataclass
@@ -45,24 +62,64 @@ def slab_universe(u: Universe) -> Universe:
     return Universe(u.p, max((m for m in range(2, u.d + 1) if u.p**m <= SLAB), default=1))
 
 
+def _head(r: int) -> int:
+    """Lists whose estimates every row gets: a majority of the R, plus SPARE."""
+    return min(r, r // 2 + 1 + SPARE)
+
+
+def _direct_rows(s: int, b: int) -> int:
+    """Rows per block of characters(): its (R - m, B, rows) table holds less than an (s, R - m)
+    complex matrix (16 bytes a character and 8 for its phase)."""
+    return max(1, s // (2 * b))
+
+
 def round_memory(u: Universe, r: int, b: int) -> int:
-    """Bytes a round of R lists of B points holds besides its length-n vectors: the (s, R)
-    slab matrix (and the grouped transform's scratch), the (R, B) samples and screen blocks."""
-    return r * (16 * (1 + grouped(u.p)) * slab_universe(u).n + 64 * b + 10 * SCREEN)
+    """Bytes a round of R lists of B points holds besides its length-n vectors: the (s, m) head
+    matrix with the largest of its grouped transform's scratch, the (s, R - m) tail matrix (and
+    its scratch), or the direct tail's (CROSS * s / B, R - m) estimates (at most three copies)
+    with one block of characters (24 bytes a term); then the (R, B) samples, screen blocks and
+    the slab's per-row counts and indices."""
+    s, m, g = slab_universe(u).n, _head(r), grouped(u.p)
+    direct = (r - m) * (24 * b * _direct_rows(s, b) + 48 * (CROSS * s // b))
+    tail = max(16 * s * m * g, 16 * s * (r - m) * (1 + g), direct)
+    return 16 * s * m + tail + r * (80 * b + 10 * SCREEN) + 32 * s
+
+
+def _small_counts(est: np.ndarray, nu: float) -> np.ndarray:
+    """Per row of est, the estimates with both parts below 0.35*nu in magnitude."""
+    counts = np.empty(len(est), dtype=np.int32)
+    for b in range(0, len(est), SCREEN):
+        blk = est[b : b + SCREEN]
+        small = (np.abs(blk.real) < 0.35 * nu) & (np.abs(blk.imag) < 0.35 * nu)
+        small.sum(axis=1, dtype=np.int32, out=counts[b : b + SCREEN])
+    return counts
+
+
+def _passing(med: np.ndarray, nu: float) -> np.ndarray:
+    """The lower medians m of med's rows (partitioned in place) where |m| >= nu/2, else 0."""
+    mid = (med.shape[1] - 1) // 2
+    med.real.partition(mid, axis=1)
+    med.imag.partition(mid, axis=1)
+    return np.where(np.abs(med[:, mid]) >= nu / 2, med[:, mid], 0)
 
 
 def _kept_medians(est: np.ndarray, nu: float, out: np.ndarray) -> None:
     """Write the lower medians m of est's (s, R) rows with |m| >= nu/2 into out, which is zero."""
-    r, mid = est.shape[1], (est.shape[1] - 1) // 2
-    for b in range(0, len(est), SCREEN):
-        blk = est[b : b + SCREEN]
-        small = (np.abs(blk.real) < 0.35 * nu) & (np.abs(blk.imag) < 0.35 * nu)
-        cand = b + np.flatnonzero(small.sum(axis=1, dtype=np.int32) <= r // 2)
-        for rows in (cand[j : j + SCREEN // 4] for j in range(0, len(cand), SCREEN // 4)):
-            med = est[rows]  # a copy of at most SCREEN//4 rows, partitioned in place
-            med.real.partition(mid, axis=1)
-            med.imag.partition(mid, axis=1)
-            out[rows] = np.where(np.abs(med[:, mid]) >= nu / 2, med[:, mid], 0)
+    cand = np.flatnonzero(_small_counts(est, nu) <= est.shape[1] // 2)
+    for rows in (cand[j : j + SCREEN // 4] for j in range(0, len(cand), SCREEN // 4)):
+        out[rows] = _passing(est[rows], nu)  # a copy of at most SCREEN//4 rows
+
+
+def _estimates(u: Universe, points: np.ndarray, values: np.ndarray, freqs) -> np.ndarray:
+    """(len(freqs), R) sums over t of values[j, t] * omega^(f.t), for the R lists of points."""
+    return np.matmul(values[:, None, :], characters(u, points, freqs))[:, 0].T
+
+
+def _slab_transform(fast: Universe, mat: np.ndarray, index, weights: np.ndarray) -> np.ndarray:
+    """slab_forward of the weights scattered into mat (zeroed first) at index."""
+    mat.fill(0)
+    np.add.at(mat, index, weights)
+    return slab_forward(fast, mat)  # keep the array that holds the transform, free the other
 
 
 def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) -> ReduceOutput:
@@ -72,12 +129,13 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     sample lists. The caller promises sup|xhat - y| <= 2*nu, which tests
     verify through an oracle. Every sample list is read in full through the
     audited accessor, and y is evaluated only at the sampled time points
-    (sparse evaluation over its nonzero entries).
+    (sparse evaluation over its nonzero entries), before the skip test.
 
-    Medians come one slab of s = p^m flat frequencies sharing f_hi = (f_m..f_{d-1})
+    Estimates come one slab of s = p^m flat frequencies sharing f_hi = (f_m..f_{d-1})
     at a time: samples weighted by omega^(f_hi.t_hi) feed one batched m-dim transform
     (dft.slab_forward: grouped character-matrix GEMMs for p < dft.GROUP, an FFT
-    otherwise); with s = n that is one n-point transform. _kept_medians screens it.
+    otherwise); with s = n that is one n-point transform. The head lists are
+    transformed for every slab, the tail lists only for its survivors (module docstring).
     """
     if not 0 < nu < np.inf:
         raise ValueError(f"radius nu must be positive and finite, got nu={nu}")
@@ -94,18 +152,47 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     residuals = np.array(
         [signal.read(f) - sparse_eval_time(u, t, freqs, values) for f, t in zip(flats, points)]
     )
-    fast = slab_universe(u)
-    s = fast.n
-    scaled = residuals * (u.n / points.shape[1] * np.sqrt(s / u.n))  # n/B when s = n
-    index = (flats % s, np.arange(len(points))[:, None])
+    r, b = residuals.shape
     z = np.zeros(u.n, dtype=np.complex128)
-    mat = np.empty((s, len(points)), dtype=np.complex128)  # one slab matrix, refilled per slab
+    bounds = np.abs(residuals).sum(axis=1) * (np.sqrt(u.n) / b)  # M_j >= |parts| of list j
+    if np.count_nonzero(bounds * (1 + 1e-9) < 0.35 * nu) > r // 2:
+        return ReduceOutput(z=z)  # every row has a majority of small estimates
+    fast = slab_universe(u)
+    s, m = fast.n, _head(r)
+    scaled = residuals * (u.n / b * np.sqrt(s / u.n))  # n/B when s = n
+    at, lists = flats % s, np.arange(r)[:, None]
+    terms = residuals[m:] * (np.sqrt(u.n) / b)  # the tail lists' estimates are their sums
+    step = _direct_rows(s, b)
+    head = np.empty((s, m), dtype=np.complex128)  # one head matrix, refilled per slab
     for lo in range(0, u.n, s):  # slab [lo, lo + s) shares the slow coordinates of lo
         # lo's fast coordinates are 0, so omega^(lo.t) is the slab weight omega^(f_hi.t_hi)
-        mat.fill(0)
-        np.add.at(mat, index, scaled * characters(u, points, unflat_index(u, lo)))
-        mat = slab_forward(fast, mat)  # keep the array that holds the transform, free the other
-        _kept_medians(mat, nu, z[lo : lo + s])
+        tail = None  # the last slab's tail goes before this slab allocates
+        weights = scaled * characters(u, points, unflat_index(u, lo))
+        head = _slab_transform(fast, head, (at[:m], lists[:m]), weights[:m])
+        if m == r:  # the head holds every list
+            _kept_medians(head, nu, z[lo : lo + s])
+            continue
+        counts = _small_counts(head, nu)
+        cand = np.flatnonzero(counts <= r // 2)  # a row outvoted among the head lists keeps nothing
+        if not len(cand):
+            continue
+        if len(cand) * b <= CROSS * s:  # few survivors: their tail estimates, term by term
+            at_cand = unflat_index(u, lo + cand)
+            tail = np.concatenate(
+                [_estimates(u, points[m:], terms, at_cand[j : j + step])
+                 for j in range(0, len(cand), step)]
+            )
+            pick = counts[cand] + _small_counts(tail, nu) <= r // 2
+            cand, tail = cand[pick], tail[pick]
+            pos = np.arange(len(cand))
+        else:
+            tail = np.empty((s, r - m), dtype=np.complex128)
+            tail = _slab_transform(fast, tail, (at[m:], lists[: r - m]), weights[m:])
+            counts += _small_counts(tail, nu)
+            cand = pos = np.flatnonzero(counts <= r // 2)
+        for j in range(0, len(cand), SCREEN // 4):  # copies of at most SCREEN//4 rows
+            rows = cand[j : j + SCREEN // 4]
+            z[lo + rows] = _passing(np.hstack((head[rows], tail[pos[j : j + SCREEN // 4]])), nu)
     return ReduceOutput(z=z)
 
 

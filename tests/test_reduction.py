@@ -8,13 +8,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import lower_median, subset_transform_dense, subset_transform_single
 from sparsefourier.dft import Universe, flat_index, inverse, sparse_eval_time, unflat_index
-from sparsefourier.reduction import _kept_medians, linfinity_reduce, reduce_h_rounds, slab_universe
+from sparsefourier import reduction
+from sparsefourier.reduction import (
+    _head, _kept_medians, linfinity_reduce, reduce_h_rounds, slab_universe
+)
 from sparsefourier.sampling import AuditedSignal, SampleBundle
 
 
@@ -195,6 +198,148 @@ def test_screen_keeps_every_median_that_can_pass(r, s, nu, seed):
     out = np.zeros(s, dtype=np.complex128)
     _kept_medians(est, nu, out)
     assert out.tobytes() == expected.tobytes()
+
+
+def _oracle_z(u, x, y, lists, nu):
+    """The dense oracle's round: lower medians of all R*n residual estimates, kept at >= nu/2."""
+    flats = flat_index(u, lists)
+    est = subset_transform_dense(u, x[flats] - inverse(u, y)[flats], flats)
+    eta = lower_median(est.real) + 1j * lower_median(est.imag)
+    return est, eta, np.where(np.abs(eta) >= nu / 2, eta, 0)
+
+
+class _Spy:
+    """Records the widths of the round's slab transforms and the calls of its direct tail sums."""
+
+    def __init__(self, mp):
+        self.widths, self.direct = [], 0
+        forward, estimates = reduction.slab_forward, reduction._estimates
+
+        def slab_forward(fast, cols):
+            self.widths.append(cols.shape[1])
+            return forward(fast, cols)
+
+        def _estimates(*args):
+            self.direct += 1
+            return estimates(*args)
+
+        mp.setattr(reduction, "slab_forward", slab_forward)
+        mp.setattr(reduction, "_estimates", _estimates)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    shape=st.sampled_from([(16, 3), (70, 2), (2, 13), (3, 9)]),
+    r=st.sampled_from([12, 31, 48]),
+    few=st.booleans(),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_majority_first_round_matches_the_dense_oracle(shape, r, few, zeros, seed):
+    # a planted 4-sparse residual; at nu = 2 only its rows outlast the head lists, so
+    # their tail estimates come term by term, and at nu = 2^-20 every row does, so
+    # the tail lists are transformed: either way z is the dense oracle's. With zeros,
+    # the first R//2 lists read zero residuals, so the planted rows have exactly R//2
+    # small estimates, all among the head lists, and the tail decides their medians
+    u = Universe(*shape)
+    rng = np.random.default_rng(seed)
+    planted = rng.choice(u.n, size=8, replace=False)
+    xhat = np.zeros(u.n, dtype=np.complex128)
+    xhat[planted] = rng.uniform(1, 1.5, 8) * np.exp(2j * np.pi * rng.random(8))
+    y = np.zeros(u.n, dtype=np.complex128)
+    y[planted[4:]] = xhat[planted[4:]]  # the residual xhat - y is the first four
+    x = inverse(u, xhat)
+    flats = rng.integers(0, u.n, size=(r, 128))
+    if zeros:  # the first R//2 lists read x = y on one half of [n], the rest the other half
+        half, q = rng.permutation(u.n), r // 2
+        flats[:q] = half[: u.n // 2][flats[:q] % (u.n // 2)]
+        flats[q:] = half[u.n // 2 :][flats[q:] % (u.n // 2)]
+        x[flats[:q]] = inverse(u, y)[flats[:q]]
+    lists = unflat_index(u, flats)
+    nu = 2.0 if few else 2.0**-20
+    _, eta, expected = _oracle_z(u, x, y, lists, nu)
+    scale = np.max(np.abs(eta))
+    assume(np.min(np.abs(np.abs(eta) - nu / 2)) > 1e-9 * scale)  # no median on the threshold
+
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _Spy(mp)
+        z = linfinity_reduce(_audited(u, x, lists), y, lists, nu=nu).z
+    m = _head(r)
+    assert m < r and spy.widths.count(m) == u.n // slab_universe(u).n
+    if few:
+        assert spy.direct > 0
+    else:
+        assert spy.direct == 0 and r - m in spy.widths
+    assert np.flatnonzero(z).tolist() == np.flatnonzero(expected).tolist()
+    assert np.max(np.abs(z - expected)) <= 1e-12 * scale
+
+
+def _bounded_round(u, kinds, b, nu_scale, seed):
+    """Lists of b distinct points whose residuals (y = 0) are zero, near or large by kinds.
+
+    A near list has positive real samples, so its estimate at f = 0 attains its bound
+    M_j = (sqrt(n)/b) sum_t |r_t| up to rounding, and 0.35*nu = nu_scale * M of the first
+    near list. A large list's samples are negative reals ten times as large.
+    """
+    rng = np.random.default_rng(seed)
+    r = len(kinds)
+    flats = rng.choice(u.n, size=(r, b), replace=False)
+    x = np.zeros(u.n, dtype=np.complex128)
+    vals = rng.uniform(0.5, 1.5, size=(r, b))
+    for j, kind in enumerate(kinds):
+        x[flats[j]] = {"zero": 0.0, "near": 1.0, "large": -10.0}[kind] * vals[j]
+    near = [j for j, kind in enumerate(kinds) if kind == "near"]
+    bound = np.abs(x[flats[near[0]]]).sum() * (np.sqrt(u.n) / b) if near else 1.0
+    return x, unflat_index(u, flats), nu_scale * bound / 0.35
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["zero", "near", "large"]), min_size=1, max_size=7),
+    b=st.integers(1, 4),
+    ulps=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kinds=["near"], b=2, ulps=1, seed=3).via("margin: the estimate beats its bound by an ulp")
+@example(kinds=["zero", "large", "zero", "large", "large"], b=1, ulps=0, seed=0).via("R//2 small")
+def test_skip_fires_only_where_the_full_round_keeps_nothing(kinds, b, ulps, seed):
+    # near the bound, the skip (no slab transform) must leave no row that the full
+    # round could select: every row has more than R//2 oracle estimates with both
+    # parts below 0.35*nu, so z is zero, and a round whose oracle keeps an entry runs
+    u = Universe(16, 2)
+    x, lists, nu = _bounded_round(u, kinds, b, 1 + ulps * 2.0**-52, seed)
+    est, _, expected = _oracle_z(u, x, np.zeros(u.n), lists, nu)
+
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _Spy(mp)
+        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=nu).z
+    small = (np.abs(est.real) < 0.35 * nu) & (np.abs(est.imag) < 0.35 * nu)
+    if not spy.widths:
+        assert not z.any()
+        assert np.all(small.sum(axis=0) > len(kinds) // 2)
+    if expected.any():
+        assert spy.widths
+        assert np.flatnonzero(z).tolist() == np.flatnonzero(expected).tolist()
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_round_with_one_large_list_runs_and_keeps_its_entry(r):
+    # a one-sparse residual seen by one list, the other list (if any) reading zeros:
+    # only R//2 lists are provably small, so the round runs, and the lower median
+    # (-1 itself, or min(0, -1)) keeps the entry
+    u, f_star = Universe(16, 2), 37
+    xhat = np.zeros(u.n, dtype=np.complex128)
+    xhat[f_star] = -1.0
+    x = inverse(u, xhat)
+    flats = np.random.default_rng(5).choice(u.n, size=(r, 8), replace=False)
+    x[flats[1:]] = 0  # the other list reads zeros
+    lists = unflat_index(u, flats)
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _Spy(mp)
+        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=1.0).z
+    assert spy.widths
+    assert abs(z[f_star] + 1) < 1e-12
+    assert_allclose(z, _oracle_z(u, x, np.zeros(u.n), lists, 1.0)[2], rtol=0, atol=1e-12)
 
 
 def _round_peak(u, r, b):
