@@ -25,7 +25,8 @@ counts as large): a row with more than R//2 small estimates keeps nothing.
     dropped. Only the survivors get the other R - m estimates: from characters()
     at those rows while rows * B <= CROSS * s, otherwise from a transform of
     the tail lists. Their R estimates are screened again and, where a median can
-    still pass, partitioned for it.
+    still pass, partitioned for it. When m = R (R <= 10) the head holds every
+    list and the tail is empty, so the head's screen decides every row.
 
 Running H such rounds against the rows of a SampleBundle walks the radius
 down from nu to 2^(1-H)*nu.
@@ -103,13 +104,6 @@ def _passing(med: np.ndarray, nu: float) -> np.ndarray:
     return np.where(np.abs(med[:, mid]) >= nu / 2, med[:, mid], 0)
 
 
-def _kept_medians(est: np.ndarray, nu: float, out: np.ndarray) -> None:
-    """Write the lower medians m of est's (s, R) rows with |m| >= nu/2 into out, which is zero."""
-    cand = np.flatnonzero(_small_counts(est, nu) <= est.shape[1] // 2)
-    for rows in (cand[j : j + SCREEN // 4] for j in range(0, len(cand), SCREEN // 4)):
-        out[rows] = _passing(est[rows], nu)  # a copy of at most SCREEN//4 rows
-
-
 def _estimates(u: Universe, points: np.ndarray, values: np.ndarray, freqs) -> np.ndarray:
     """(len(freqs), R) sums over t of values[j, t] * omega^(f.t), for the R lists of points."""
     return np.matmul(values[:, None, :], characters(u, points, freqs))[:, 0].T
@@ -169,14 +163,13 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
         tail = None  # the last slab's tail goes before this slab allocates
         weights = scaled * characters(u, points, unflat_index(u, lo))
         head = _slab_transform(fast, head, (at[:m], lists[:m]), weights[:m])
-        if m == r:  # the head holds every list
-            _kept_medians(head, nu, z[lo : lo + s])
-            continue
         counts = _small_counts(head, nu)
         cand = np.flatnonzero(counts <= r // 2)  # a row outvoted among the head lists keeps nothing
         if not len(cand):
             continue
-        if len(cand) * b <= CROSS * s:  # few survivors: their tail estimates, term by term
+        if m == r:  # the head holds every list: the tail is a zero-width view
+            tail, pos = head[:, m:], cand
+        elif len(cand) * b <= CROSS * s:  # few survivors: their tail estimates, term by term
             at_cand = unflat_index(u, lo + cand)
             tail = np.concatenate(
                 [_estimates(u, points[m:], terms, at_cand[j : j + step])

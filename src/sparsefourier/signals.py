@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dft import Universe, densify, forward, inverse
-from .recovery import RecoveryResult, ceil_log2, require_memory
+from .recovery import DESK_PROFILE, RecoveryResult, ceil_log2, require_memory
 from .sampling import DOMAIN_SIGNAL, stream_rng
 
 __all__ = [
@@ -77,7 +77,9 @@ def gen_signal(spec: SignalSpec) -> tuple:
     return x, xhat
 
 
-def oracle_top_k(u: Universe, x: np.ndarray, k: int, mu_min_scale: float = 1e-12) -> tuple:
+def oracle_top_k(
+    u: Universe, x: np.ndarray, k: int, mu_min_scale: float = DESK_PROFILE.mu_min
+) -> tuple:
     """Exact top-k reference: (best k-sparse approx, mu, R*).
 
     Runs a full transform, keeps the k largest-magnitude coordinates (ties
@@ -103,7 +105,7 @@ def oracle_top_k(u: Universe, x: np.ndarray, k: int, mu_min_scale: float = 1e-12
     return approx, mu, rstar
 
 
-def noise_floor_value(x: np.ndarray, mu: float, mu_min_scale: float = 1e-12) -> float:
+def noise_floor_value(x: np.ndarray, mu: float, mu_min_scale: float = DESK_PROFILE.mu_min) -> float:
     """Effective noise level: mu floored relative to the signal energy.
 
     Exactly sparse signals have mu = 0; the guarantee is then checked

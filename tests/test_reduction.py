@@ -16,7 +16,7 @@ from conftest import lower_median, subset_transform_dense, subset_transform_sing
 from sparsefourier.dft import Universe, flat_index, inverse, sparse_eval_time, unflat_index
 from sparsefourier import reduction
 from sparsefourier.reduction import (
-    _head, _kept_medians, linfinity_reduce, reduce_h_rounds, slab_universe
+    SCREEN, _head, _passing, _small_counts, linfinity_reduce, reduce_h_rounds, slab_universe
 )
 from sparsefourier.sampling import AuditedSignal, SampleBundle
 
@@ -165,7 +165,8 @@ def test_slab_medians_match_the_dense_estimator(shape, r, b, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_screen_keeps_every_median_that_can_pass(r, s, nu, seed):
-    # rows whose medians the screen skips could not have passed: the result is
+    # the round's select (rows with at most R//2 small estimates, partitioned SCREEN//4
+    # at a time) skips only rows whose medians could not have passed: the result is
     # np.where(|median| >= nu/2, median, 0) bit for bit, with each part's median
     # at +-nu/2 * (1 +- 2^-40), +-nu/2, +-nu/(2*sqrt 2) or 0, on ties, with NaNs
     rng = np.random.default_rng(seed)
@@ -196,7 +197,10 @@ def test_screen_keeps_every_median_that_can_pass(r, s, nu, seed):
     expected = np.where(np.abs(expected) >= nu / 2, expected, 0)
 
     out = np.zeros(s, dtype=np.complex128)
-    _kept_medians(est, nu, out)
+    cand = np.flatnonzero(_small_counts(est, nu) <= r // 2)
+    for j in range(0, len(cand), SCREEN // 4):
+        rows = cand[j : j + SCREEN // 4]
+        out[rows] = _passing(est[rows], nu)
     assert out.tobytes() == expected.tobytes()
 
 
@@ -342,18 +346,44 @@ def test_round_with_one_large_list_runs_and_keeps_its_entry(r):
     assert_allclose(z, _oracle_z(u, x, np.zeros(u.n), lists, 1.0)[2], rtol=0, atol=1e-12)
 
 
-def _round_peak(u, r, b):
-    """tracemalloc peak of one round on R lists of B points."""
+def _round_peak(u, r, b, planted=False):
+    """tracemalloc peak of one round on R lists of B points against y = 0.
+
+    With a random x every row survives at nu = 1. With planted, x holds 4 tones and at
+    nu = 2 few rows survive; the round must keep exactly those tones.
+    """
     rng = np.random.default_rng(16)
-    x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
+    if planted:
+        tones = rng.choice(u.n, size=4, replace=False)
+        xhat = np.zeros(u.n, dtype=np.complex128)
+        xhat[tones] = rng.uniform(1.1, 1.4, 4) * np.exp(2j * np.pi * rng.random(4))
+        x, nu = inverse(u, xhat), 2.0
+    else:
+        x, nu = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n), 1.0
     lists = _draw_lists(u, r=r, b=b, seed=17)
     sig, y = _audited(u, x, lists), np.zeros(u.n, dtype=np.complex128)
     tracemalloc.start()
     try:
-        linfinity_reduce(sig, y, lists, nu=1.0)
-        return tracemalloc.get_traced_memory()[1]
+        z = linfinity_reduce(sig, y, lists, nu=nu).z
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    if planted:
+        assert np.flatnonzero(z).tolist() == sorted(tones)
+    return peak
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["all-survive", "planted"])
+@pytest.mark.parametrize(
+    "p, d, r, b", [(16, 3, 6, 128), (16, 3, 48, 128), (2, 13, 6, 64), (4, 6, 9, 64), (4, 8, 64, 64)]
+)
+def test_round_memory_bounds_one_round(p, d, r, b, planted):
+    # the guard's round term covers all a round holds besides its length-n z, with
+    # R <= 10 (m = R: the head holds every list) and above, whether every row survives
+    # the head screen or few do (then, for R > 10, their tail is summed term by term)
+    u = Universe(p, d)
+    _round_peak(u, r, b, planted)  # a first call also loads np.fft plans and GEMM matrices
+    assert _round_peak(u, r, b, planted) - 16 * u.n <= reduction.round_memory(u, r, b)
 
 
 def test_round_never_builds_the_estimate_matrix():
