@@ -26,12 +26,13 @@ signal.grant_bundle(bundle)
 
 nu = float(np.max(np.abs(xhat))) / 2.0
 print(f"k={spec.k} tones on n={u.n}, starting radius nu = {nu:.4f}")
-print(f"bundle: (H, R, B, d) = {bundle.points.shape} array, {signal.granted_total} samples\n")
+print(f"bundle: (H, R, B) = {bundle.flats.shape} array of flat indices,"
+      f" {signal.granted_total} samples\n")
 
 y = np.zeros(u.n, dtype=np.complex128)  # the spectrum so far, zero off its support
 for i in range(1, H + 1):
     radius = 2.0 ** (1 - i) * nu
-    y += linfinity_reduce(signal, y, bundle.points[i - 1], radius).z
+    y += linfinity_reduce(signal, y, bundle.flats[i - 1], radius).z
     resid = float(np.max(np.abs(xhat - y)))
     print(f"round {i}: radius {radius:.5f}  support {np.count_nonzero(y):2d}  resid {resid:.6f}"
           f"  (target <= {radius:.5f})")

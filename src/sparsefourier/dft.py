@@ -81,7 +81,7 @@ def unflat_index(u: Universe, flat) -> np.ndarray:
     """Inverse of flat_index: flat indices to coordinate vectors."""
     idx = np.asarray(flat, dtype=np.int64)
     if np.any(idx < 0) or np.any(idx >= u.n):
-        raise ValueError(f"flat index out of range [0, {u.n})")
+        raise ValueError(f"flat index out of range [0, {u.n}) of the universe [{u.p}]^{u.d}")
     coords = np.empty(idx.shape + (u.d,), dtype=np.int64)
     rest = idx
     for i in range(u.d):
@@ -102,10 +102,16 @@ def characters(u: Universe, points, freqs, sign: int = 1) -> np.ndarray:
     """Characters omega^(sign * f.t) at every time vector of points and frequency of freqs.
 
     points is a (..., d) array and freqs a (d,) vector or an (s, d) array; the result has
-    shape points.shape[:-1] (+ (s,)). The integer phase f.t mod p indexes _roots(p, sign),
-    so every character in the package is one of the same p complex numbers.
+    shape points.shape[:-1] (+ (s,)). The integer phase f.t mod p, reduced in place (a mask
+    when p is a power of two), indexes _roots(p, sign), so every character in the package is
+    one of the same p complex numbers.
     """
-    return _roots(u.p, sign)[(np.asarray(points) @ np.asarray(freqs).T) % u.p]
+    phase = np.asarray(np.asarray(points) @ np.asarray(freqs).T)
+    if u.p & (u.p - 1):
+        np.remainder(phase, u.p, out=phase)
+    else:
+        np.bitwise_and(phase, u.p - 1, out=phase)
+    return _roots(u.p, sign).take(phase)
 
 
 def forward(u: Universe, x: np.ndarray) -> np.ndarray:

@@ -121,10 +121,10 @@ def require_memory(need: float, what: str) -> None:
 
 
 def solve_memory(u: Universe, schedule: Schedule) -> int:
-    """Tracemalloc peak of a solve: bundle and flat indices; one round's buffers (round_memory);
-    y, z, y + z and the round's z; 1 MiB numpy.fft."""
+    """Tracemalloc peak of a solve: the bundle's flat indices; one round's coordinates and
+    buffers (round_memory); y, which the rounds add into, and the round's z; 1 MiB numpy.fft."""
     per_round = round_memory(u, schedule.r, schedule.b)
-    return schedule.budget * (u.d + 1) * 8 + per_round + 64 * u.n + 2**20
+    return 8 * schedule.budget + per_round + 32 * u.n + 2**20
 
 
 @dataclass(frozen=True)
@@ -248,14 +248,13 @@ def fourier_sparse_recovery(
     cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)
     side = WARMUP_GRID if warmup else config.beta
 
-    # y is a length-n spectrum, zero off its support
+    # y is a length-n spectrum, zero off its support; the rounds and the projection overwrite it
     y = np.zeros(u.n, dtype=np.complex128)
     diags = []
     for ell, nu in enumerate(schedule.nus, start=1):
-        w = y + reduce_h_rounds(x, y, bundle, nu)
-        supp = np.flatnonzero(w)
+        y = reduce_h_rounds(x, y, bundle, nu)
+        supp = np.flatnonzero(y)
         if ell == schedule.l:
-            y = w
             diags.append(IterationDiag(nu, 0j, 0, len(supp), len(supp)))
             break
 
@@ -267,18 +266,17 @@ def fourier_sparse_recovery(
             )
             try:
                 shift, attempts = draw_good_shift(
-                    w[supp], params, stream_rng(rng, DOMAIN_SHIFT, ell), cap
+                    y[supp], params, stream_rng(rng, DOMAIN_SHIFT, ell), cap
                 )
             except GoodShiftError as exc:
                 raise ShiftFailure(ell, exc.attempts) from exc
 
-        y = np.zeros_like(w)
-        y[supp] = project(w[supp] + shift, GridSpec(side * nu))
+        y[supp] = project(y[supp] + shift, GridSpec(side * nu))
         diags.append(IterationDiag(nu, shift, attempts, len(supp), np.count_nonzero(y)))
 
     return RecoveryResult(
         y={int(f): complex(y[f]) for f in np.flatnonzero(y)},
         diagnostics=tuple(diags),
-        samples_used=math.prod(bundle.points.shape[:-1]),
+        samples_used=bundle.flats.size,
         schedule=schedule,
     )

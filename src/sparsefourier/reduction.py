@@ -1,8 +1,8 @@
 """Median-of-estimates shrinking of the residual spectrum's sup norm.
 
 One call takes the approximation y built so far (a length-n spectrum
-array, zero off its support), R independent sample lists (an (R, B, d)
-row of a SampleBundle), and a radius nu with the promise that the
+array, zero off its support), R independent sample lists (an (R, B) row
+of a SampleBundle's flat indices), and a radius nu with the promise that the
 residual spectrum xhat - y has sup norm at most 2*nu.
 Each list j defines a subset estimate of the residual at every frequency, and
 the round keeps the coordinate-wise lower median over lists where its magnitude
@@ -38,9 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import (
-    Universe, characters, flat_index, grouped, slab_forward, sparse_eval_time, unflat_index
-)
+from .dft import Universe, characters, grouped, slab_forward, sparse_eval_time, unflat_index
 from .sampling import AuditedSignal, SampleBundle
 
 __all__ = ["ReduceOutput", "slab_universe", "round_memory", "linfinity_reduce", "reduce_h_rounds"]
@@ -78,12 +76,12 @@ def round_memory(u: Universe, r: int, b: int) -> int:
     """Bytes a round of R lists of B points holds besides its length-n vectors: the (s, m) head
     matrix with the largest of its grouped transform's scratch, the (s, R - m) tail matrix (and
     its scratch), or the direct tail's (CROSS * s / B, R - m) estimates (at most three copies)
-    with one block of characters (24 bytes a term); then the (R, B) samples, screen blocks and
-    the slab's per-row counts and indices."""
+    with one block of characters (24 bytes a term); then the (R, B, d) coordinates of the
+    samples, their (R, B) arrays, screen blocks and the slab's per-row counts and indices."""
     s, m, g = slab_universe(u).n, _head(r), grouped(u.p)
     direct = (r - m) * (24 * b * _direct_rows(s, b) + 48 * (CROSS * s // b))
     tail = max(16 * s * m * g, 16 * s * (r - m) * (1 + g), direct)
-    return 16 * s * m + tail + r * (80 * b + 10 * SCREEN) + 32 * s
+    return 16 * s * m + tail + r * (8 * b * u.d + 80 * b + 10 * SCREEN) + 32 * s
 
 
 def _small_counts(est: np.ndarray, nu: float) -> np.ndarray:
@@ -116,14 +114,14 @@ def _slab_transform(fast: Universe, mat: np.ndarray, index, weights: np.ndarray)
     return slab_forward(fast, mat)  # keep the array that holds the transform, free the other
 
 
-def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) -> ReduceOutput:
+def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, flats, nu: float) -> ReduceOutput:
     """One shrinking round: median estimates, then threshold at nu/2.
 
-    y is a length-n spectrum array and points an (R, B, d) array of R
-    sample lists. The caller promises sup|xhat - y| <= 2*nu, which tests
-    verify through an oracle. Every sample list is read in full through the
-    audited accessor, and y is evaluated only at the sampled time points
-    (sparse evaluation over its nonzero entries), before the skip test.
+    y is a length-n spectrum array and flats an (R, B) array of the flat
+    indices of R sample lists. The caller promises sup|xhat - y| <= 2*nu,
+    which tests verify through an oracle. Every sample list is read in full
+    through the audited accessor, and y is evaluated only at the sampled time
+    points (sparse evaluation over its nonzero entries), before the skip test.
 
     Estimates come one slab of s = p^m flat frequencies sharing f_hi = (f_m..f_{d-1})
     at a time: samples weighted by omega^(f_hi.t_hi) feed one batched m-dim transform
@@ -137,10 +135,13 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
     y = np.asarray(y)
     if y.shape != (u.n,):
         raise ValueError(f"y must be a length-{u.n} spectrum array, got shape {y.shape}")
-    points = np.asarray(points)
-    if points.ndim != 3 or 0 in points.shape[:2]:
-        raise ValueError(f"need an (R, B, {u.d}) array, R, B >= 1, got shape {points.shape}")
-    flats = flat_index(u, points)  # rejects points outside the signal's universe
+    flats = np.asarray(flats)
+    if flats.ndim != 2 or 0 in flats.shape:
+        raise ValueError(
+            f"need an (R, B) array of flat indices of the universe [{u.p}]^{u.d}, R, B >= 1,"
+            f" got shape {flats.shape}"
+        )
+    points = unflat_index(u, flats)  # rejects indices outside the signal's universe
     supp = np.flatnonzero(y)
     freqs, values = unflat_index(u, supp), y[supp]
     residuals = np.array(
@@ -192,13 +193,16 @@ def linfinity_reduce(signal: AuditedSignal, y: np.ndarray, points, nu: float) ->
 def reduce_h_rounds(
     signal: AuditedSignal, y: np.ndarray, bundle: SampleBundle, nu: float
 ) -> np.ndarray:
-    """Run one round per bundle row with geometrically shrinking radius, accumulating z.
+    """Run one round per bundle row with geometrically shrinking radius, adding each z into y.
 
     Round i uses bundle row i with radius 2^(1-i) * nu, so on success the
-    residual against y + z ends below 2^(1-H) * nu for H rows. y and the
-    returned z are length-n spectrum arrays.
+    residual against the result ends below 2^(1-H) * nu for H rows. y, a
+    length-n complex128 spectrum array, is overwritten: each round's z is
+    added into it in place, and y is returned.
     """
-    z = np.zeros(signal.universe.n, dtype=np.complex128)
-    for i, row in enumerate(bundle.points, start=1):
-        z += linfinity_reduce(signal, y + z, row, (2.0 ** (1 - i)) * nu).z
-    return z
+    kind = getattr(y, "dtype", type(y).__name__)
+    if kind != np.complex128:
+        raise ValueError(f"y must be a complex128 array to add the rounds into, got {kind}")
+    for i, row in enumerate(bundle.flats, start=1):
+        y += linfinity_reduce(signal, y, row, (2.0 ** (1 - i)) * nu).z
+    return y

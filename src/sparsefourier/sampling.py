@@ -1,8 +1,9 @@
 """Uniform time-domain sampling, the audited signal, and the estimator's leakage coefficients.
 
 A sample list T is an ordered list of B i.i.d. uniform points of [p]^d,
-duplicates kept, stored as a (B, d) integer array; a run's H x R grid of
-lists is one (H, R, B, d) array. The estimator built from a list,
+duplicates kept, stored as B flat indices; a run's H x R grid of lists is
+one (H, R, B) integer array, so its size does not depend on d. The
+estimator built from a list,
 
     xhat^[T]_f = (sqrt(n)/|T|) * sum_{t in T} omega^(f.t) * x_t,
 
@@ -51,22 +52,22 @@ DOMAIN_SIGNAL = 2
 
 @dataclass(eq=False)
 class SampleBundle:
-    """H x R grid of independent sample lists of B points: list (i, j) is points[i, j]."""
+    """H x R grid of independent sample lists of B points: list (i, j) is flats[i, j]."""
 
     universe: Universe
-    points: np.ndarray  # (H, R, B, d) integer array
+    flats: np.ndarray  # (H, R, B) int64 array of flat time indices
 
     @classmethod
     def draw(cls, u: Universe, h: int, r: int, b: int, entropy) -> "SampleBundle":
-        """Draw i.i.d. uniform coordinates; list (i, j) comes from stream (entropy, i, j)."""
+        """Draw i.i.d. uniform points; list (i, j) is the flat_index of the (B, d) coordinates
+        drawn from stream (entropy, DOMAIN_SAMPLES, i, j)."""
         if h < 1 or r < 1 or b < 1:
             raise ValueError(f"need h, r, b >= 1, got h={h}, r={r}, b={b}")
-        points = np.empty((h, r, b, u.d), dtype=np.int64)
-        for i in range(h):
-            for j in range(r):
-                rng = stream_rng(entropy, DOMAIN_SAMPLES, i, j)
-                points[i, j] = rng.integers(0, u.p, size=(b, u.d), dtype=np.int64)
-        return cls(u, points)
+        flats = np.empty((h, r, b), dtype=np.int64)
+        for i in range(h):  # one row of R lists' coordinates at a time, never the whole bundle
+            rngs = (stream_rng(entropy, DOMAIN_SAMPLES, i, j) for j in range(r))
+            flats[i] = flat_index(u, np.stack([g.integers(0, u.p, size=(b, u.d)) for g in rngs]))
+        return cls(u, flats)
 
 
 class AuditViolation(RuntimeError):
@@ -108,7 +109,7 @@ class AuditedSignal:
     def grant_bundle(self, bundle: SampleBundle) -> None:
         if bundle.universe != self.universe:  # in-range points of a smaller p are not uniform
             raise ValueError(f"bundle universe {bundle.universe} != signal's {self.universe}")
-        self.grant(flat_index(self.universe, bundle.points).ravel())
+        self.grant(bundle.flats.ravel())
 
     def read(self, flats: np.ndarray) -> np.ndarray:
         idx = np.asarray(flats, dtype=np.int64)

@@ -227,7 +227,7 @@ def test_a7_sample_budget_audit(a5_batch, a6_batch):
     sig = AuditedSignal(u, np.ones(u.n, dtype=np.complex128))
     bundle = SampleBundle.draw(u, h=1, r=1, b=4, entropy=71)
     sig.grant_bundle(bundle)
-    flats = flat_index(u, bundle.points).ravel()
+    flats = bundle.flats.ravel()
     outside = (int(flats[0]) + 1) % u.n
     with pytest.raises(AuditViolation):
         sig.read(np.array([outside] if outside not in set(flats.tolist()) else []))
@@ -256,7 +256,7 @@ def test_a8_reduce_halves_radius():
             bundle = SampleBundle.draw(u, h=1, r=rr, b=b, entropy=seed)
             sig = AuditedSignal(u, x)
             sig.grant_bundle(bundle)
-            z = linfinity_reduce(sig, np.zeros(u.n), bundle.points[0], nu).z
+            z = linfinity_reduce(sig, np.zeros(u.n), bundle.flats[0], nu).z
             resid = xhat - z
             hits += float(np.max(np.abs(resid))) <= nu
         batches.append((b, rr, hits, need))

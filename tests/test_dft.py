@@ -275,6 +275,20 @@ def test_characters_equal_direct_exponentials(p, d, batch, m, s, sign, seed):
     assert np.array_equal(characters(u, points, f, sign), direct)
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 16])
+def test_characters_equal_the_modulo_lookup(p):
+    # the in-place reduction (a mask when p is a power of two) indexes the same
+    # roots as (points @ freqs.T) % p, negative phases and single vectors included
+    u = Universe(p, 3)
+    rng = np.random.default_rng(p)
+    points = rng.integers(0, p, size=(19, 128, 3))
+    freqs = rng.integers(0, p, size=(16, 3))
+    for sign in (1, -1):
+        roots = dft._roots(p, sign)
+        for t, f in ((points, freqs), (points[0], freqs), (points, -freqs), (points[0, 0], freqs[0])):
+            assert np.array_equal(characters(u, t, f, sign), roots[(t @ f.T) % p])
+
+
 def test_only_dft_computes_transforms_and_characters():
     # every FFT and every omega^(f.t) of the package goes through dft.py
     for path in sorted(Path(dft.__file__).parent.glob("*.py")):

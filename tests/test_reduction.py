@@ -53,14 +53,15 @@ def test_zero_residual_yields_empty_z():
     xhat[support] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     x = _signal_from_spectrum(u, xhat)
     lists = _draw_lists(u, r=5, b=16, seed=1)
-    out = linfinity_reduce(_audited(u, x, lists), xhat, lists, nu=0.3)
+    out = linfinity_reduce(_audited(u, x, lists), xhat, flat_index(u, lists), nu=0.3)
     assert not out.z.any()
 
 
 def test_zero_signal_yields_empty_z():
     u = Universe(p=4, d=3)
     lists = _draw_lists(u, r=5, b=16, seed=2)
-    out = linfinity_reduce(_audited(u, np.zeros(u.n), lists), np.zeros(u.n), lists, nu=1.0)
+    sig = _audited(u, np.zeros(u.n), lists)
+    out = linfinity_reduce(sig, np.zeros(u.n), flat_index(u, lists), nu=1.0)
     assert not out.z.any()
 
 
@@ -72,7 +73,7 @@ def test_one_sparse_signal_recovered_in_one_round():
     x = _signal_from_spectrum(u, xhat)
 
     lists = _draw_lists(u, r=9, b=64, seed=3)
-    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=0.4)
+    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=0.4)
     assert out.z.shape == (u.n,)
     assert np.flatnonzero(out.z).tolist() == [f_star]
     assert abs(out.z[f_star] - xhat[f_star]) <= 0.4
@@ -88,7 +89,7 @@ def test_thresholding_and_median_support():
     nu = 0.5
 
     lists = _draw_lists(u, r=7, b=32, seed=6)
-    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=nu)
+    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=nu)
     flats = flat_index(u, lists)
     dense = subset_transform_dense(u, x[flats], flats)
     eta = lower_median(dense.real) + 1j * lower_median(dense.imag)
@@ -113,7 +114,7 @@ def test_medians_match_per_list_estimates(time_eval):
     lists = _draw_lists(u, r=6, b=10, seed=8)
 
     # nu small enough that every nonzero median is kept, so z holds all of them
-    out = linfinity_reduce(_audited(u, x, lists), y, lists, nu=2.0**-1000)
+    out = linfinity_reduce(_audited(u, x, lists), y, flat_index(u, lists), nu=2.0**-1000)
 
     def y_at(t):
         if time_eval == "sparse":
@@ -153,7 +154,7 @@ def test_slab_medians_match_the_dense_estimator(shape, r, b, seed):
     expected = lower_median(dense.real) + 1j * lower_median(dense.imag)
 
     # nu small enough that every nonzero median is kept, so z holds all of them
-    z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=2.0**-1000).z
+    z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flats, nu=2.0**-1000).z
     assert np.max(np.abs(z - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -267,7 +268,7 @@ def test_majority_first_round_matches_the_dense_oracle(shape, r, few, zeros, see
 
     with pytest.MonkeyPatch.context() as mp:
         spy = _Spy(mp)
-        z = linfinity_reduce(_audited(u, x, lists), y, lists, nu=nu).z
+        z = linfinity_reduce(_audited(u, x, lists), y, flat_index(u, lists), nu=nu).z
     m = _head(r)
     assert m < r and spy.widths.count(m) == u.n // slab_universe(u).n
     if few:
@@ -316,7 +317,7 @@ def test_skip_fires_only_where_the_full_round_keeps_nothing(kinds, b, ulps, seed
 
     with pytest.MonkeyPatch.context() as mp:
         spy = _Spy(mp)
-        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=nu).z
+        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=nu).z
     small = (np.abs(est.real) < 0.35 * nu) & (np.abs(est.imag) < 0.35 * nu)
     if not spy.widths:
         assert not z.any()
@@ -340,7 +341,7 @@ def test_round_with_one_large_list_runs_and_keeps_its_entry(r):
     lists = unflat_index(u, flats)
     with pytest.MonkeyPatch.context() as mp:
         spy = _Spy(mp)
-        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=1.0).z
+        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=1.0).z
     assert spy.widths
     assert abs(z[f_star] + 1) < 1e-12
     assert_allclose(z, _oracle_z(u, x, np.zeros(u.n), lists, 1.0)[2], rtol=0, atol=1e-12)
@@ -364,7 +365,7 @@ def _round_peak(u, r, b, planted=False):
     sig, y = _audited(u, x, lists), np.zeros(u.n, dtype=np.complex128)
     tracemalloc.start()
     try:
-        z = linfinity_reduce(sig, y, lists, nu=nu).z
+        z = linfinity_reduce(sig, y, flat_index(u, lists), nu=nu).z
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,8 +415,9 @@ def test_rejects_empty_lists_and_mismatched_universe():
     with pytest.raises(ValueError):
         linfinity_reduce(sig, y, (), nu=0.5)
     with pytest.raises(ValueError):
-        linfinity_reduce(sig, y, np.zeros((0, 4, 1), dtype=np.int64), nu=0.5)
-    other = _draw_lists(Universe(p=4, d=2), r=2, b=4, seed=0)
+        linfinity_reduce(sig, y, np.zeros((0, 4), dtype=np.int64), nu=0.5)
+    v = Universe(p=4, d=2)
+    other = flat_index(v, _draw_lists(v, r=2, b=4, seed=0))
     with pytest.raises(ValueError, match="universe"):
         linfinity_reduce(sig, y, other, nu=0.5)
 
@@ -425,7 +427,17 @@ def test_rejects_y_that_is_not_a_length_n_array(y):
     u = Universe(p=4, d=1)
     lists = _draw_lists(u, r=2, b=4, seed=0)
     with pytest.raises(ValueError, match="length-4 spectrum"):
-        linfinity_reduce(_audited(u, np.zeros(4), lists), y, lists, nu=0.5)
+        linfinity_reduce(_audited(u, np.zeros(4), lists), y, flat_index(u, lists), nu=0.5)
+
+
+def test_reduce_h_rounds_needs_a_complex_y_to_add_into():
+    # the rounds add into y in place: a float y is refused before any read (nothing
+    # is granted, so a read would raise AuditViolation)
+    u = Universe(p=4, d=1)
+    bundle = SampleBundle.draw(u, h=2, r=2, b=4, entropy=0)
+    for y in (np.zeros(4), [0j] * 4):
+        with pytest.raises(ValueError, match="complex128"):
+            reduce_h_rounds(AuditedSignal(u, np.zeros(4)), y, bundle, nu=0.5)
 
 
 def test_rejects_nonpositive_nu():
@@ -433,7 +445,8 @@ def test_rejects_nonpositive_nu():
     lists = _draw_lists(u, r=2, b=4, seed=0)
     for nu in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="nu="):
-            linfinity_reduce(_audited(u, np.zeros(4), lists), np.zeros(4), lists, nu=nu)
+            sig = _audited(u, np.zeros(4), lists)
+            linfinity_reduce(sig, np.zeros(4), flat_index(u, lists), nu=nu)
 
 
 def test_determinism():
@@ -441,8 +454,8 @@ def test_determinism():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     lists = _draw_lists(u, r=5, b=20, seed=13)
-    a = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=0.6)
-    b = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), lists, nu=0.6)
+    a = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=0.6)
+    b = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=0.6)
     assert np.array_equal(a.z, b.z)
 
 
@@ -454,14 +467,14 @@ def test_single_round_equals_direct_call():
     rng = np.random.default_rng(14)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     bundle = SampleBundle.draw(u, h=1, r=5, b=20, entropy=15)
-    lists = bundle.points[0]
+    lists = unflat_index(u, bundle.flats[0])
 
     sig1 = AuditedSignal(u, x)
     sig1.grant_bundle(bundle)
-    z_rounds = reduce_h_rounds(sig1, np.zeros(u.n), bundle, nu=0.8)
+    z_rounds = reduce_h_rounds(sig1, np.zeros(u.n, dtype=np.complex128), bundle, nu=0.8)
 
     sig2 = _audited(u, x, lists)
-    direct = linfinity_reduce(sig2, np.zeros(u.n), lists, nu=0.8)
+    direct = linfinity_reduce(sig2, np.zeros(u.n), flat_index(u, lists), nu=0.8)
     assert np.array_equal(z_rounds, direct.z)
 
 
@@ -481,7 +494,7 @@ def test_noiseless_two_sparse_residual_walks_down():
 
     z = np.zeros(u.n, dtype=np.complex128)
     for i in range(1, h_rounds + 1):
-        z += linfinity_reduce(sig, z, bundle.points[i - 1], nu=nu * 2.0 ** (1 - i)).z
+        z += linfinity_reduce(sig, z, bundle.flats[i - 1], nu=nu * 2.0 ** (1 - i)).z
         assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - i) * nu + 1e-12
 
     assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - h_rounds) * nu
@@ -499,7 +512,7 @@ def test_reduce_h_rounds_end_to_end_three_sparse():
     bundle = SampleBundle.draw(u, h=h_rounds, r=9, b=96, entropy=31)
     sig = AuditedSignal(u, x)
     sig.grant_bundle(bundle)
-    z = reduce_h_rounds(sig, np.zeros(u.n), bundle, nu=nu)
+    z = reduce_h_rounds(sig, np.zeros(u.n, dtype=np.complex128), bundle, nu=nu)
 
     assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - h_rounds) * nu
     assert sig.all_granted_read()

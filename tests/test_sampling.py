@@ -27,7 +27,7 @@ from sparsefourier.sampling import (
 
 def _draw(u, b, seed):
     """One list of B points: the (B, d) array of a 1 x 1 bundle."""
-    return SampleBundle.draw(u, 1, 1, b, seed).points[0, 0]
+    return unflat_index(u, SampleBundle.draw(u, 1, 1, b, seed).flats[0, 0])
 
 
 def _points(u, b, rng):
@@ -41,9 +41,10 @@ def _points(u, b, rng):
 def test_draw_shapes_and_range():
     u = Universe(p=5, d=3)
     bundle = SampleBundle.draw(u, 2, 3, 40, 0)
-    assert bundle.points.shape == (2, 3, 40, 3)
-    assert bundle.points.dtype == np.int64
-    assert bundle.points.min() >= 0 and bundle.points.max() < 5
+    assert bundle.flats.shape == (2, 3, 40)
+    assert bundle.flats.dtype == np.int64
+    points = unflat_index(u, bundle.flats)
+    assert points.min() >= 0 and points.max() < 5
 
 
 def test_draw_is_deterministic():
@@ -71,13 +72,13 @@ def test_draw_is_uniform_over_cells():
 
 
 def test_sample_list_validates_points():
-    # a row of lists must fit the signal's universe: d coordinates in [0, p)
+    # a row of lists must fit the signal's universe: an (R, B) array of flat indices in [0, n)
     u = Universe(p=4, d=2)
     sig, y = AuditedSignal(u, np.zeros(u.n)), np.zeros(u.n)
     with pytest.raises(ValueError, match="universe"):
         linfinity_reduce(sig, y, np.zeros((1, 3, 5), dtype=np.int64), nu=1.0)
     with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(sig, y, np.array([[[0, 4]]]), nu=1.0)  # coordinate out of range
+        linfinity_reduce(sig, y, np.array([[0, 16]]), nu=1.0)  # flat index out of range
 
 
 def test_stream_rng_reproducible_and_disjoint():
@@ -218,7 +219,7 @@ def test_zero_samples_give_zero_estimate():
 def test_bundle_shape_and_budget():
     u = Universe(p=8, d=2)
     bundle = SampleBundle.draw(u, h=3, r=4, b=10, entropy=77)
-    assert bundle.points.shape == (3, 4, 10, 2)
+    assert bundle.flats.shape == (3, 4, 10)
     sig = AuditedSignal(u, np.zeros(u.n))
     sig.grant_bundle(bundle)
     assert sig.granted_total == 3 * 4 * 10
@@ -228,14 +229,21 @@ def test_bundle_is_deterministic_and_lists_differ():
     u = Universe(p=8, d=2)
     b1 = SampleBundle.draw(u, h=2, r=3, b=20, entropy=5)
     b2 = SampleBundle.draw(u, h=2, r=3, b=20, entropy=5)
-    assert np.array_equal(b1.points, b2.points)
-    assert not np.array_equal(b1.points[0, 0], b1.points[0, 1])
-    assert not np.array_equal(b1.points[0, 0], b1.points[1, 0])
+    assert np.array_equal(b1.flats, b2.flats)
+    assert not np.array_equal(b1.flats[0, 0], b1.flats[0, 1])
+    assert not np.array_equal(b1.flats[0, 0], b1.flats[1, 0])
     # list (i, j) is the (B, d) draw of its own stream, whatever the grid size
     assert np.array_equal(
-        b1.points[1, 2],
+        unflat_index(u, b1.flats[1, 2]),
         stream_rng(5, DOMAIN_SAMPLES, 1, 2).integers(0, 8, size=(20, 2), dtype=np.int64),
     )
+    # and is stored as the flat indices of that draw: 8 bytes a sample, whatever d is
+    for v in (Universe(p=4, d=6), Universe(p=2, d=12)):
+        bundle = SampleBundle.draw(v, h=2, r=3, b=20, entropy=5)
+        for i, j in np.ndindex(2, 3):
+            draw = stream_rng(5, DOMAIN_SAMPLES, i, j).integers(0, v.p, size=(20, v.d))
+            assert np.array_equal(bundle.flats[i, j], flat_index(v, draw))
+        assert bundle.flats.nbytes == 8 * 2 * 3 * 20
 
 
 def test_bundle_rejects_empty_grid():
@@ -319,7 +327,7 @@ def test_audited_signal_bundle_grant():
     bundle = SampleBundle.draw(u, h=2, r=2, b=6, entropy=1)
     sig.grant_bundle(bundle)
     assert sig.granted_total == 24
-    sig.read(flat_index(u, bundle.points).ravel())
+    sig.read(bundle.flats.ravel())
     assert sig.all_granted_read()
     with pytest.raises(ValueError, match="universe"):
         sig.grant_bundle(SampleBundle.draw(Universe(p=2, d=2), h=1, r=1, b=6, entropy=1))
