@@ -51,8 +51,10 @@ class Universe:
     n: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.p < 1 or self.d < 1:
-            raise ValueError(f"need p >= 1 and d >= 1, got p={self.p}, d={self.d}")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (self.p, self.d)):
+            raise ValueError(f"need integers p >= 1 and d >= 1, got p={self.p!r}, d={self.d!r}")
+        object.__setattr__(self, "p", int(self.p))  # a numpy integer would make n overflow
+        object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "n", self.p**self.d)
 
     @property

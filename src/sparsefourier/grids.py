@@ -32,8 +32,8 @@ class GridSpec:
     side: float
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError(f"grid side must be positive, got {self.side}")
+        if not 0 < self.side < np.inf:
+            raise ValueError(f"grid side must be positive and finite, got {self.side}")
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,8 @@ def build_schedule(
     would otherwise make good shifts astronomically rare for k beyond a
     handful. The cap at log2 R* always wins when the ladder is short.
     """
-    if k < 1:
-        raise ValueError(f"sparsity k must be at least 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"sparsity k must be an integer of at least 1, got {k!r}")
     if n < 2:
         raise ValueError(f"universe size must be at least 2, got {n}")
     if not 0 < mu < math.inf:

@@ -2,7 +2,8 @@
 
 A sample list T is an ordered list of B i.i.d. uniform points of [p]^d,
 duplicates kept, stored as B flat indices; a run's H x R grid of lists is
-one (H, R, B) integer array, so its size does not depend on d. The
+one (H, R, B) array of uniform flat indices drawn from one stream, so its
+size and its values depend on n alone, not on how n splits into p^d. The
 estimator built from a list,
 
     xhat^[T]_f = (sqrt(n)/|T|) * sum_{t in T} omega^(f.t) * x_t,
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import Universe, characters, flat_index, unflat_index
+from .dft import Universe, characters, unflat_index
 
 __all__ = [
     "SampleBundle",
@@ -59,15 +60,11 @@ class SampleBundle:
 
     @classmethod
     def draw(cls, u: Universe, h: int, r: int, b: int, entropy) -> "SampleBundle":
-        """Draw i.i.d. uniform points; list (i, j) is the flat_index of the (B, d) coordinates
-        drawn from stream (entropy, DOMAIN_SAMPLES, i, j)."""
+        """One draw of (H, R, B) uniform flat indices from the stream (entropy, DOMAIN_SAMPLES):
+        a uniform flat index is a uniform point of [p]^d, and row i is the same for every h > i."""
         if h < 1 or r < 1 or b < 1:
             raise ValueError(f"need h, r, b >= 1, got h={h}, r={r}, b={b}")
-        flats = np.empty((h, r, b), dtype=np.int64)
-        for i in range(h):  # one row of R lists' coordinates at a time, never the whole bundle
-            rngs = (stream_rng(entropy, DOMAIN_SAMPLES, i, j) for j in range(r))
-            flats[i] = flat_index(u, np.stack([g.integers(0, u.p, size=(b, u.d)) for g in rngs]))
-        return cls(u, flats)
+        return cls(u, stream_rng(entropy, DOMAIN_SAMPLES).integers(0, u.n, size=(h, r, b)))
 
 
 class AuditViolation(RuntimeError):

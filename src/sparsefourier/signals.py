@@ -46,8 +46,8 @@ class SignalSpec:
 
     def __post_init__(self):
         u = self.universe  # validates p, d
-        if not (1 <= self.k <= u.n):
-            raise ValueError(f"need 1 <= k <= {u.n}, got k={self.k}")
+        if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= u.n):
+            raise ValueError(f"need an integer 1 <= k <= {u.n}, got k={self.k!r}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 

@@ -39,6 +39,18 @@ def test_universe_validation():
         Universe(4, 0)
 
 
+@pytest.mark.parametrize("p,d", [(2.5, 2), (4, 2.0), (np.float64(4), 2), ("4", 2)])
+def test_universe_rejects_non_integer_sizes(p, d):
+    with pytest.raises(ValueError, match="integers"):
+        Universe(p, d)
+
+
+def test_universe_accepts_numpy_integers():
+    u = Universe(np.int64(4), np.int32(3))
+    assert u == Universe(4, 3)
+    assert type(u.p) is type(u.n) is int and u.n == 64
+
+
 def test_flat_index_examples():
     u = Universe(3, 2)
     assert flat_index(u, (0, 0)) == 0

@@ -49,10 +49,9 @@ def test_box_rejects_non_finite_center(center):
 
 
 def test_grid_rejects_nonpositive_side():
-    with pytest.raises(ValueError):
-        GridSpec(0.0)
-    with pytest.raises(ValueError):
-        GridSpec(-1.0)
+    for side in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GridSpec(side)
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,8 @@ def test_schedule_ladder_halves_and_ends_at_mu():
         {"mu": float("inf")},
         {"rstar": float("nan")},
         {"rstar": float("inf")},
+        {"k": 2.5},
+        {"k": np.float64(2.0)},
     ],
 )
 def test_schedule_rejects_bad_inputs(kwargs):
@@ -250,10 +252,10 @@ PINNED = {
     ),
     "spec-main": (
         {
-            100: 0.9929600566453416 + 0.12820517813806737j,
-            124: -0.6214242182226752 - 0.7820026158456229j,
-            160: 0.274236946349524 + 0.9612665605677666j,
-            200: 0.908310088473277 + 0.41744746258853505j,
+            100: 0.9928244202299087 + 0.12903830412936526j,
+            124: -0.6241988841733336 - 0.7812037004099206j,
+            160: 0.2723269969492389 + 0.9595579386649143j,
+            200: 0.9064910779854645 + 0.41730224338647115j,
         },
         [(0.9682888879237285, 0j, 0, 4, 4)],
         8192,
@@ -261,8 +263,8 @@ PINNED = {
     # n = 4^7 spans four frequency slabs of 4^6
     "slabs-main": (
         {
-            6498: 1.0267862407831405 + 0.22061879348639687j,
-            10355: -0.44042057049393873 - 0.9022729834265978j,
+            6498: 0.974647675007567 + 0.21946510669662173j,
+            10355: -0.4623598024674209 - 0.9371671820220612j,
         },
         [(0.7226970118165186, 0j, 0, 2, 2)],
         3584,

@@ -232,18 +232,15 @@ def test_bundle_is_deterministic_and_lists_differ():
     assert np.array_equal(b1.flats, b2.flats)
     assert not np.array_equal(b1.flats[0, 0], b1.flats[0, 1])
     assert not np.array_equal(b1.flats[0, 0], b1.flats[1, 0])
-    # list (i, j) is the (B, d) draw of its own stream, whatever the grid size
+    # the bundle is one (H, R, B) draw of flat indices from the samples stream
     assert np.array_equal(
-        unflat_index(u, b1.flats[1, 2]),
-        stream_rng(5, DOMAIN_SAMPLES, 1, 2).integers(0, 8, size=(20, 2), dtype=np.int64),
+        b1.flats, stream_rng(5, DOMAIN_SAMPLES).integers(0, u.n, size=(2, 3, 20))
     )
-    # and is stored as the flat indices of that draw: 8 bytes a sample, whatever d is
+    # so it depends on n alone, takes 8 bytes a sample whatever d is, and keeps its rows as H grows
+    assert np.array_equal(SampleBundle.draw(Universe(p=64, d=1), 2, 3, 20, 5).flats, b1.flats)
+    assert np.array_equal(SampleBundle.draw(u, 5, 3, 20, 5).flats[:2], b1.flats)
     for v in (Universe(p=4, d=6), Universe(p=2, d=12)):
-        bundle = SampleBundle.draw(v, h=2, r=3, b=20, entropy=5)
-        for i, j in np.ndindex(2, 3):
-            draw = stream_rng(5, DOMAIN_SAMPLES, i, j).integers(0, v.p, size=(20, v.d))
-            assert np.array_equal(bundle.flats[i, j], flat_index(v, draw))
-        assert bundle.flats.nbytes == 8 * 2 * 3 * 20
+        assert SampleBundle.draw(v, h=2, r=3, b=20, entropy=5).flats.nbytes == 8 * 2 * 3 * 20
 
 
 def test_bundle_rejects_empty_grid():

@@ -108,6 +108,10 @@ def test_gen_signal_deterministic_and_seed_sensitive():
         {"d": 0},
         {"sigma": float("inf")},
         {"sigma": float("nan")},
+        {"k": 2.5},
+        {"k": 2.0},
+        {"p": 2.5},  # rejected by the Universe check
+        {"d": 2.0},
     ],
 )
 def test_spec_validation(kwargs):
