@@ -90,6 +90,8 @@ def _run_report(args, trials: int, seeds=None) -> int:
 
 
 def _run_verify(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got seed={seed}")
     failed = False
     for name, fn in CHECKS.items():
         ok, detail = fn(seed)

@@ -14,8 +14,8 @@ sum_i f_i * p^i, i.e. coordinate 0 varies fastest. Every character
 omega^(f.t) the package uses comes from characters(); this module is the
 only one that calls np.fft.
 
-The reduction's slab transforms go through slab_forward() on the R columns of
-an (n, R) matrix, which it may overwrite. np.fft pays a fixed cost per axis,
+The reduction's slab transforms go through slab_forward() on the columns of a
+matrix with n rows, which it may overwrite. np.fft pays a fixed cost per axis,
 which dominates when the axes are short, so when grouped(p) it merges g
 coordinates into one axis of q = p^g <= GROUP, applied as one batched GEMM by
 a cached (q, q) character matrix. Otherwise it runs forward()'s np.fft in the
@@ -31,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "Universe",
+    "is_int",
     "flat_index",
     "unflat_index",
     "characters",
@@ -42,6 +43,11 @@ __all__ = [
 ]
 
 
+def is_int(v) -> bool:
+    """True for a Python or numpy integer; a bool is refused, though Python counts it as an int."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Universe:
     """Shape descriptor for signals on [p]^d, with n = p^d cached."""
@@ -51,7 +57,7 @@ class Universe:
     n: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (self.p, self.d)):
+        if not all(is_int(v) and v >= 1 for v in (self.p, self.d)):
             raise ValueError(f"need integers p >= 1 and d >= 1, got p={self.p!r}, d={self.d!r}")
         object.__setattr__(self, "p", int(self.p))  # a numpy integer would make n overflow
         object.__setattr__(self, "d", int(self.d))

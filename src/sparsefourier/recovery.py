@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft import Universe
+from .dft import Universe, is_int
 from .grids import GoodShiftError, GridSpec, ShiftParams, draw_good_shift, project
 from .reduction import reduce_h_rounds, round_memory
 from .sampling import DOMAIN_SHIFT, AuditedSignal, SampleBundle, stream_rng
@@ -85,8 +85,9 @@ class RecoveryConfig:
     def __post_init__(self):
         for name in ("c_b", "c_r", "c_h"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # plain ints, so reports serialise
         if not (0 < self.alpha <= self.beta / 2 and self.beta < 0.1):
             raise ValueError(
                 f"need 0 < alpha <= beta/2 and beta < 0.1 (the shift must leave rounding room),"
@@ -161,7 +162,7 @@ def build_schedule(
     would otherwise make good shifts astronomically rare for k beyond a
     handful. The cap at log2 R* always wins when the ladder is short.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_int(k) or k < 1:
         raise ValueError(f"sparsity k must be an integer of at least 1, got {k!r}")
     if n < 2:
         raise ValueError(f"universe size must be at least 2, got {n}")

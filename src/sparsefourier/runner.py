@@ -2,9 +2,7 @@
 
 Each trial gets an independent integer seed derived from (master_seed,
 trial_index), so results do not depend on execution order and any single
-trial can be reproduced in isolation by passing its seed. Setting the
-SFT_THREADS environment variable runs trials in a thread pool; reports
-are identical either way.
+trial can be reproduced in isolation by passing its seed.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +49,9 @@ def _trial_seed(master_seed: int, index: int) -> int:
 
 
 def run_single_trial(
-    spec: SignalSpec, config: RecoveryConfig, algorithm: str, trial_seed: int, in_flight: int = 1
+    spec: SignalSpec, config: RecoveryConfig, algorithm: str, trial_seed: int
 ) -> Metrics:
-    """One seeded trial; in_flight trials of this size run at once and share physical memory."""
+    """One seeded trial, checked against physical memory before the audited copy is made."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     warmup = algorithm == "warmup"
@@ -66,7 +62,7 @@ def run_single_trial(
     # x, xhat and the audited copy with its two masks stay alive through the solve
     schedule = build_schedule(config, u.n, spec.k, floor, rstar, warmup)
     need = 50 * u.n + solve_memory(u, schedule)
-    require_memory(in_flight * need, f"{in_flight} trial(s) on n = {u.n} points at once would")
+    require_memory(need, f"a trial on n = {u.n} points would")
 
     sig = AuditedSignal(u, x)
     t0 = time.perf_counter()
@@ -95,18 +91,7 @@ def run_experiment(
         seeds = [_trial_seed(spec.seed, i) for i in range(trials)]
     elif len(seeds) != trials:
         raise ValueError(f"got {len(seeds)} seeds for {trials} trials")
-    threads = os.environ.get("SFT_THREADS", "0")
-    if not threads.strip().isdecimal():
-        raise ValueError(f"SFT_THREADS must be a non-negative integer, got {threads!r}")
-    workers = int(threads)
-    if workers > 1:
-        in_flight = min(workers, trials)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            metrics = list(
-                pool.map(lambda s: run_single_trial(spec, config, algorithm, s, in_flight), seeds)
-            )
-    else:
-        metrics = [run_single_trial(spec, config, algorithm, s) for s in seeds]
+    metrics = [run_single_trial(spec, config, algorithm, s) for s in seeds]
 
     attempts = np.array([m.attempts_total for m in metrics])
     aggregates = {

@@ -77,9 +77,7 @@ class AuditedSignal:
     Recovery declares its sample bundle up front via grant(); any read at an
     undeclared or out-of-range flat index raises AuditViolation.
     granted_total and all_granted_read() make the sample-budget claim
-    checkable after a run. Reads are plain array lookups guarded by the
-    interpreter lock; external synchronization is only needed if grant()
-    races with reads.
+    checkable after a run.
     """
 
     def __init__(self, u: Universe, values: np.ndarray):

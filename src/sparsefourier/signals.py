@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dft import Universe, densify, forward, inverse
+from .dft import Universe, densify, forward, inverse, is_int
 from .recovery import DESK_PROFILE, RecoveryResult, ceil_log2, require_memory
 from .sampling import DOMAIN_SIGNAL, stream_rng
 
@@ -46,10 +46,14 @@ class SignalSpec:
 
     def __post_init__(self):
         u = self.universe  # validates p, d
-        if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= u.n):
+        if not (is_int(self.k) and 1 <= self.k <= u.n):
             raise ValueError(f"need an integer 1 <= k <= {u.n}, got k={self.k!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got seed={self.seed!r}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        for name in ("p", "d", "k", "seed"):  # plain ints, so reports serialise
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def universe(self) -> Universe:

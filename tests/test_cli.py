@@ -87,6 +87,13 @@ def test_invalid_signal_is_config_error(capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["recover", "bench", "verify"])
+def test_negative_seed_is_config_error(command, capsys):
+    signal = [] if command == "verify" else ["--p", "4", "--d", "2", "--k", "2"]
+    assert main([command, *signal, "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got seed=-1" in capsys.readouterr().err
+
+
 def test_unknown_choice_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["recover", *NOISELESS, "--algo", "galactic"])

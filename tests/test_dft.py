@@ -39,7 +39,9 @@ def test_universe_validation():
         Universe(4, 0)
 
 
-@pytest.mark.parametrize("p,d", [(2.5, 2), (4, 2.0), (np.float64(4), 2), ("4", 2)])
+@pytest.mark.parametrize(
+    "p,d", [(2.5, 2), (4, 2.0), (np.float64(4), 2), ("4", 2), (True, 3), (4, np.True_)]
+)
 def test_universe_rejects_non_integer_sizes(p, d):
     with pytest.raises(ValueError, match="integers"):
         Universe(p, d)

@@ -62,11 +62,20 @@ def test_profiles_are_valid():
         {"mu_min": 0.0},
         {"mu_min": float("nan")},
         {"mu_min": float("inf")},
+        {"c_b": True},
+        {"c_r": 2.0},
+        {"c_h": np.float64(3)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         dataclasses.replace(DESK_PROFILE, **kwargs)
+
+
+def test_config_stores_numpy_integers_as_int():
+    config = RecoveryConfig(c_b=np.int64(8), c_r=np.int32(4), c_h=np.uint8(3))
+    assert config == DESK_PROFILE
+    assert all(type(v) is int for v in (config.c_b, config.c_r, config.c_h))
 
 
 # ------------------------------------------------------------- schedule
@@ -152,6 +161,7 @@ def test_schedule_ladder_halves_and_ends_at_mu():
         {"rstar": float("inf")},
         {"k": 2.5},
         {"k": np.float64(2.0)},
+        {"k": True},
     ],
 )
 def test_schedule_rejects_bad_inputs(kwargs):

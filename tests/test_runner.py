@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparsefourier import runner
-from sparsefourier.recovery import DESK_PROFILE, build_schedule, solve_memory
+from sparsefourier.recovery import DESK_PROFILE, RecoveryConfig, build_schedule, solve_memory
 from sparsefourier.runner import (
     CSV_COLUMNS,
     emit_report,
@@ -61,20 +61,20 @@ def test_trial_counts_its_inputs_against_memory(monkeypatch):
         assert run_single_trial(spec, DESK_PROFILE, "main", 9).guarantee_ok
 
 
-def test_threaded_batch_counts_every_trial_in_flight(monkeypatch):
-    # with SFT_THREADS=2 two trials run at once: physical memory one byte short
-    # of twice a trial's need must refuse the batch, twice the need admits it
+def test_serial_batch_checks_one_trial_at_a_time(monkeypatch):
+    # a batch runs its trials one after another: physical memory one byte
+    # short of a single trial's need refuses it before any audited copy is
+    # made, and exactly that need admits a batch of two
     spec = SignalSpec(p=16, d=3, k=2, sigma=1e-3, seed=0)
     need = 50 * spec.universe.n + _solve_need(spec, 9)
-    monkeypatch.setenv("SFT_THREADS", "2")
 
     with monkeypatch.context() as m:
-        _physical(m, 2 * need - 1)
+        _physical(m, need - 1)
         m.setattr(runner, "AuditedSignal", lambda *a: pytest.fail("audited copy made"))
         with pytest.raises(ValueError, match="physical memory"):
             run_experiment(spec, DESK_PROFILE, trials=2, seeds=[9, 9])
     with monkeypatch.context() as m:
-        _physical(m, 2 * need)
+        _physical(m, need)
         report = run_experiment(spec, DESK_PROFILE, trials=2, seeds=[9, 9])
         assert report.aggregates["success_rate"] == 1.0
 
@@ -135,6 +135,14 @@ def test_json_round_trip(tmp_path):
     assert len(parsed["metrics"]) == 2
 
 
+def test_numpy_integer_inputs_serialise():
+    spec = SignalSpec(p=np.int64(8), d=np.int32(2), k=np.int64(2), seed=np.uint64(100))
+    config = RecoveryConfig(c_b=np.int64(8))
+    parsed = json.loads(emit_report(run_experiment(spec, config, trials=1), "json"))
+    assert parsed["signal"] == {"p": 8, "d": 2, "k": 2, "sigma": 0.0, "seed": 100}
+    assert parsed["config"]["c_b"] == 8
+
+
 def test_csv_shape_and_columns(tmp_path):
     report = run_experiment(NOISELESS, DESK_PROFILE, trials=3)
     path = tmp_path / "report.csv"
@@ -158,22 +166,3 @@ def test_emit_surfaces_path_in_io_errors(tmp_path):
     bad = tmp_path / "missing_dir" / "report.json"
     with pytest.raises(OSError, match="missing_dir"):
         emit_report(report, "json", bad)
-
-
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_bad_thread_count_fails_by_name(monkeypatch, value):
-    monkeypatch.setenv("SFT_THREADS", value)
-    with pytest.raises(ValueError, match=f"SFT_THREADS must be a non-negative integer, got '{value}'"):
-        run_experiment(NOISELESS, DESK_PROFILE, trials=1)
-
-
-def test_threaded_run_matches_serial(monkeypatch):
-    spec = SignalSpec(p=8, d=2, k=2, sigma=0.01, seed=77)
-    serial = run_experiment(spec, DESK_PROFILE, trials=4)
-    monkeypatch.setenv("SFT_THREADS", "4")
-    threaded = run_experiment(spec, DESK_PROFILE, trials=4)
-
-    for a, b in zip(serial.metrics, threaded.metrics):
-        assert a.seed == b.seed
-        assert a.linf_error == b.linf_error
-        assert a.guarantee_ok == b.guarantee_ok

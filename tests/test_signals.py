@@ -112,6 +112,10 @@ def test_gen_signal_deterministic_and_seed_sensitive():
         {"k": 2.0},
         {"p": 2.5},  # rejected by the Universe check
         {"d": 2.0},
+        {"k": True},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
     ],
 )
 def test_spec_validation(kwargs):
