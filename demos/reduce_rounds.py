@@ -11,6 +11,7 @@ nu/2 in modulus, and folds them into y. Round i runs at radius
 import numpy as np
 
 from sparsefourier.dft import Universe
+from sparsefourier.recovery import C_S
 from sparsefourier.reduction import linfinity_reduce
 from sparsefourier.sampling import AuditedSignal, SampleBundle
 from sparsefourier.signals import SignalSpec, gen_signal
@@ -29,10 +30,12 @@ print(f"k={spec.k} tones on n={u.n}, starting radius nu = {nu:.4f}")
 print(f"bundle: (H, R, B) = {bundle.flats.shape} array of flat indices,"
       f" {signal.granted_total} samples\n")
 
-y = np.zeros(u.n, dtype=np.complex128)  # the spectrum so far, zero off its support
+y = np.zeros(u.n, dtype=np.complex128)  # the spectrum so far, dense here only to print residuals
 for i in range(1, H + 1):
     radius = 2.0 ** (1 - i) * nu
-    y += linfinity_reduce(signal, y, bundle.flats[i - 1], radius).z
+    supp = np.flatnonzero(y)  # a round takes y as sorted flat indices and their values
+    out = linfinity_reduce(signal, supp, y[supp], bundle.flats[i - 1], radius, cap=C_S * spec.k)
+    y[out.flats] += out.z  # its kept entries: ascending flat indices and their medians
     resid = float(np.max(np.abs(xhat - y)))
     print(f"round {i}: radius {radius:.5f}  support {np.count_nonzero(y):2d}  resid {resid:.6f}"
           f"  (target <= {radius:.5f})")

@@ -16,7 +16,7 @@ import dataclasses
 import sys
 
 from .checks import CHECKS
-from .recovery import DESK_PROFILE, ShiftFailure
+from .recovery import DESK_PROFILE, BrokenPromise
 from .runner import ALGORITHMS, emit_report, run_experiment
 from .sampling import AuditViolation
 from .signals import SignalSpec
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     except AuditViolation as exc:
         print(f"sample audit violation: {exc}", file=sys.stderr)
         return 3
-    except (ShiftFailure, OSError) as exc:
+    except (BrokenPromise, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

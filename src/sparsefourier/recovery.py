@@ -33,7 +33,7 @@ import numpy as np
 
 from .dft import Universe, is_int
 from .grids import GoodShiftError, GridSpec, ShiftParams, draw_good_shift, project
-from .reduction import reduce_h_rounds, round_memory
+from .reduction import BrokenPromise, OccupancyError, reduce_h_rounds, round_memory
 from .sampling import DOMAIN_SHIFT, AuditedSignal, SampleBundle, stream_rng
 
 __all__ = [
@@ -122,21 +122,22 @@ def require_memory(need: float, what: str) -> None:
 
 
 def solve_memory(u: Universe, schedule: Schedule) -> int:
-    """Tracemalloc peak of a solve: the bundle's flat indices; one round's coordinates and
-    buffers (round_memory); y, which the rounds add into, and the round's z; 1 MiB numpy.fft."""
-    per_round = round_memory(u, schedule.r, schedule.b)
-    return 8 * schedule.budget + per_round + 32 * u.n + 2**20
+    """Tracemalloc peak of a solve, with no term in n: the bundle's flat indices; one round
+    (round_memory); y with its merges, 256 bytes an entry of schedule.cap; 1 MiB numpy.fft."""
+    per_round = round_memory(u, schedule.r, schedule.b, schedule.cap)
+    return 8 * schedule.budget + per_round + 256 * schedule.cap + 2**20
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Resolved per-run parameters: list size, repetitions, rungs."""
+    """Resolved per-run parameters: list size, repetitions, rungs, occupancy bound C_S*k."""
 
     b: int
     r: int
     h: int
     l: int
     nus: tuple
+    cap: int
 
     @property
     def budget(self) -> int:
@@ -160,7 +161,7 @@ def build_schedule(
     coefficients, a per-attempt failure chance of at most 1/2 needs the box
     radius 2^(1-H)*nu below alpha*nu / (4*C_S*k). Small-constant profiles
     would otherwise make good shifts astronomically rare for k beyond a
-    handful. The cap at log2 R* always wins when the ladder is short.
+    handful. H stays at most log2 R*. The solve enforces C_S*k (Schedule.cap).
     """
     if not is_int(k) or k < 1:
         raise ValueError(f"sparsity k must be an integer of at least 1, got {k!r}")
@@ -182,16 +183,15 @@ def build_schedule(
     ell = max(1, log2_rstar - h + 1)
     rstar_pow = float(2.0**log2_rstar)
     nus = tuple(2.0 ** (-i) * mu * rstar_pow for i in range(1, ell + 1))
-    return Schedule(b=b, r=r, h=h, l=ell, nus=nus)
+    return Schedule(b=b, r=r, h=h, l=ell, nus=nus, cap=C_S * k)
 
 
-class ShiftFailure(RuntimeError):
+class ShiftFailure(BrokenPromise):
     """The shift rejection loop ran out of attempts at ladder rung l."""
 
     def __init__(self, iteration: int, attempts: int):
         super().__init__(f"no good shift at iteration {iteration} after {attempts} attempts")
-        self.iteration = iteration
-        self.attempts = attempts
+        self.iteration, self.attempts = iteration, attempts
 
 
 @dataclass(frozen=True)
@@ -246,37 +246,39 @@ def fourier_sparse_recovery(
     require_memory(solve_memory(u, schedule), f"B*R*H = {schedule.budget} samples and their solve")
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, rng)
     x.grant_bundle(bundle)
-    cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)
+    attempts_cap = MAX_SHIFT_ATTEMPTS_FACTOR * ceil_log2(u.n)
     side = WARMUP_GRID if warmup else config.beta
 
-    # y is a length-n spectrum, zero off its support; the rounds and the projection overwrite it
-    y = np.zeros(u.n, dtype=np.complex128)
+    # y is the sorted pair (supp, values); the rounds merge into it, the projection rewrites it
+    supp, values = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)
     diags = []
     for ell, nu in enumerate(schedule.nus, start=1):
-        y = reduce_h_rounds(x, y, bundle, nu)
-        supp = np.flatnonzero(y)
+        try:
+            supp, values = reduce_h_rounds(x, supp, values, bundle, nu, schedule.cap)
+        except OccupancyError as exc:
+            raise OccupancyError(f"rung {ell}, {exc}") from None
         if ell == schedule.l:
             diags.append(IterationDiag(nu, 0j, 0, len(supp), len(supp)))
             break
 
-        shift = 0j
-        attempts = 0
+        shift, attempts = 0j, 0
         if not warmup:
             params = ShiftParams(
                 r_s=config.alpha * nu, r_b=2.0 ** (1 - schedule.h) * nu, r_g=config.beta * nu
             )
             try:
                 shift, attempts = draw_good_shift(
-                    y[supp], params, stream_rng(rng, DOMAIN_SHIFT, ell), cap
+                    values, params, stream_rng(rng, DOMAIN_SHIFT, ell), attempts_cap
                 )
             except GoodShiftError as exc:
                 raise ShiftFailure(ell, exc.attempts) from exc
 
-        y[supp] = project(y[supp] + shift, GridSpec(side * nu))
-        diags.append(IterationDiag(nu, shift, attempts, len(supp), np.count_nonzero(y)))
+        values = project(values + shift, GridSpec(side * nu))
+        diags.append(IterationDiag(nu, shift, attempts, len(supp), np.count_nonzero(values)))
+        supp, values = supp[values != 0], values[values != 0]
 
     return RecoveryResult(
-        y={int(f): complex(y[f]) for f in np.flatnonzero(y)},
+        y={int(f): complex(v) for f, v in zip(supp, values)},
         diagnostics=tuple(diags),
         samples_used=bundle.flats.size,
         schedule=schedule,

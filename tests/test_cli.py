@@ -111,6 +111,16 @@ def test_run_too_large_for_memory_exits_2(monkeypatch, capsys):
     assert "synthesizing a signal" in capsys.readouterr().err
 
 
+def test_broken_promise_exits_1_and_names_the_bound(capsys):
+    # with R = 10 the warm-up driver's second round keeps 320 of the 1024 frequencies,
+    # more than C_S*k = 104: the solve stops there instead of reporting a wrong y
+    argv = ["--p", "2", "--d", "10", "--k", "4", "--sigma", "0", "--seed", "31"]
+    assert main(["recover", *argv, "--algo", "warmup", "--set", "c_r=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rung 1, round 2: kept 320 entries, more than C_S*k = 104\n"
+
+
 def test_audit_violation_maps_to_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise AuditViolation("synthetic")

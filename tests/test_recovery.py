@@ -424,8 +424,9 @@ def test_warmup_single_rung_equals_reduce_rounds():
     bundle = SampleBundle.draw(u, schedule.h, schedule.r, schedule.b, entropy)
     sig2 = AuditedSignal(u, x)
     sig2.grant_bundle(bundle)
-    z = reduce_h_rounds(sig2, np.zeros(u.n, dtype=np.complex128), bundle, schedule.nus[0])
-    assert res.y == {int(f): complex(z[f]) for f in np.flatnonzero(z)}
+    empty = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)
+    supp, values = reduce_h_rounds(sig2, *empty, bundle, schedule.nus[0], schedule.cap)
+    assert res.y == {int(f): complex(v) for f, v in zip(supp, values)}
 
 
 def test_warmup_hits_noise_target_on_tall_ladder():

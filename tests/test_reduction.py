@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import lower_median, subset_transform_dense, subset_transform_single
-from sparsefourier.dft import Universe, flat_index, inverse, sparse_eval_time, unflat_index
+from sparsefourier.dft import Universe, densify, flat_index, inverse, sparse_eval_time, unflat_index
 from sparsefourier import reduction
 from sparsefourier.reduction import (
-    SCREEN, _head, _passing, _small_counts, linfinity_reduce, reduce_h_rounds, slab_universe
+    SCREEN, OccupancyError, _head, _passing, _small_counts, linfinity_reduce, reduce_h_rounds,
+    slab_universe,
 )
 from sparsefourier.sampling import AuditedSignal, SampleBundle
 
@@ -44,6 +45,21 @@ def _spectrum(u, entries):
     return y
 
 
+EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))  # y = 0 as (supp, values)
+
+
+def _sparse(y):
+    """A dense spectrum array as the sorted (supp, values) pair a round takes."""
+    supp = np.flatnonzero(y)
+    return supp, y[supp]
+
+
+def _dense(u, out):
+    """A round's kept entries (ascending flats, z) as a length-n array, zero elsewhere."""
+    assert np.all(np.diff(out.flats) > 0) and len(out.flats) == len(out.z)
+    return densify(u, dict(zip(out.flats.tolist(), out.z)))
+
+
 def test_zero_residual_yields_empty_z():
     # y already equals the spectrum, so every estimate is exactly zero
     u = Universe(p=8, d=2)
@@ -53,16 +69,16 @@ def test_zero_residual_yields_empty_z():
     xhat[support] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     x = _signal_from_spectrum(u, xhat)
     lists = _draw_lists(u, r=5, b=16, seed=1)
-    out = linfinity_reduce(_audited(u, x, lists), xhat, flat_index(u, lists), nu=0.3)
-    assert not out.z.any()
+    out = linfinity_reduce(_audited(u, x, lists), *_sparse(xhat), flat_index(u, lists), 0.3, u.n)
+    assert out.flats.size == out.z.size == 0
 
 
 def test_zero_signal_yields_empty_z():
     u = Universe(p=4, d=3)
     lists = _draw_lists(u, r=5, b=16, seed=2)
     sig = _audited(u, np.zeros(u.n), lists)
-    out = linfinity_reduce(sig, np.zeros(u.n), flat_index(u, lists), nu=1.0)
-    assert not out.z.any()
+    out = linfinity_reduce(sig, *EMPTY, flat_index(u, lists), nu=1.0, cap=u.n)
+    assert out.flats.size == out.z.size == 0
 
 
 def test_one_sparse_signal_recovered_in_one_round():
@@ -73,10 +89,9 @@ def test_one_sparse_signal_recovered_in_one_round():
     x = _signal_from_spectrum(u, xhat)
 
     lists = _draw_lists(u, r=9, b=64, seed=3)
-    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=0.4)
-    assert out.z.shape == (u.n,)
-    assert np.flatnonzero(out.z).tolist() == [f_star]
-    assert abs(out.z[f_star] - xhat[f_star]) <= 0.4
+    out = linfinity_reduce(_audited(u, x, lists), *EMPTY, flat_index(u, lists), nu=0.4, cap=u.n)
+    assert out.flats.tolist() == [f_star]
+    assert abs(out.z[0] - xhat[f_star]) <= 0.4
 
 
 def test_thresholding_and_median_support():
@@ -89,17 +104,17 @@ def test_thresholding_and_median_support():
     nu = 0.5
 
     lists = _draw_lists(u, r=7, b=32, seed=6)
-    out = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=nu)
+    out = linfinity_reduce(_audited(u, x, lists), *EMPTY, flat_index(u, lists), nu=nu, cap=u.n)
+    z = _dense(u, out)
     flats = flat_index(u, lists)
     dense = subset_transform_dense(u, x[flats], flats)
     eta = lower_median(dense.real) + 1j * lower_median(dense.imag)
-    assert out.z.shape == (u.n,)
     assert np.min(np.abs(np.abs(eta) - nu / 2)) > 1e-9  # no median on the threshold
-    kept = np.flatnonzero(out.z)
-    assert len(kept) > 0
-    assert np.all(np.abs(out.z[kept]) >= nu / 2)
+    kept = np.flatnonzero(z)
+    assert len(kept) > 0 and kept.tolist() == out.flats.tolist()
+    assert np.all(np.abs(z[kept]) >= nu / 2)
     assert kept.tolist() == np.flatnonzero(np.abs(eta) >= nu / 2).tolist()
-    assert_allclose(out.z[kept], eta[kept], rtol=0, atol=1e-12)
+    assert_allclose(z[kept], eta[kept], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("time_eval", ["sparse", "dense"])
@@ -114,7 +129,8 @@ def test_medians_match_per_list_estimates(time_eval):
     lists = _draw_lists(u, r=6, b=10, seed=8)
 
     # nu small enough that every nonzero median is kept, so z holds all of them
-    out = linfinity_reduce(_audited(u, x, lists), y, flat_index(u, lists), nu=2.0**-1000)
+    sig = _audited(u, x, lists)
+    out = linfinity_reduce(sig, *_sparse(y), flat_index(u, lists), nu=2.0**-1000, cap=u.n)
 
     def y_at(t):
         if time_eval == "sparse":
@@ -131,7 +147,7 @@ def test_medians_match_per_list_estimates(time_eval):
     manual = (
         np.sort(per_list.real, axis=0)[idx] + 1j * np.sort(per_list.imag, axis=0)[idx]
     )
-    assert_allclose(out.z, manual, atol=1e-10)
+    assert_allclose(_dense(u, out), manual, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -154,7 +170,7 @@ def test_slab_medians_match_the_dense_estimator(shape, r, b, seed):
     expected = lower_median(dense.real) + 1j * lower_median(dense.imag)
 
     # nu small enough that every nonzero median is kept, so z holds all of them
-    z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flats, nu=2.0**-1000).z
+    z = _dense(u, linfinity_reduce(_audited(u, x, lists), *EMPTY, flats, nu=2.0**-1000, cap=u.n))
     assert np.max(np.abs(z - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -268,7 +284,8 @@ def test_majority_first_round_matches_the_dense_oracle(shape, r, few, zeros, see
 
     with pytest.MonkeyPatch.context() as mp:
         spy = _Spy(mp)
-        z = linfinity_reduce(_audited(u, x, lists), y, flat_index(u, lists), nu=nu).z
+        out = linfinity_reduce(_audited(u, x, lists), *_sparse(y), flat_index(u, lists), nu, u.n)
+    z = _dense(u, out)
     m = _head(r)
     assert m < r and spy.widths.count(m) == u.n // slab_universe(u).n
     if few:
@@ -317,7 +334,8 @@ def test_skip_fires_only_where_the_full_round_keeps_nothing(kinds, b, ulps, seed
 
     with pytest.MonkeyPatch.context() as mp:
         spy = _Spy(mp)
-        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=nu).z
+        out = linfinity_reduce(_audited(u, x, lists), *EMPTY, flat_index(u, lists), nu, u.n)
+    z = _dense(u, out)
     small = (np.abs(est.real) < 0.35 * nu) & (np.abs(est.imag) < 0.35 * nu)
     if not spy.widths:
         assert not z.any()
@@ -341,17 +359,22 @@ def test_round_with_one_large_list_runs_and_keeps_its_entry(r):
     lists = unflat_index(u, flats)
     with pytest.MonkeyPatch.context() as mp:
         spy = _Spy(mp)
-        z = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=1.0).z
+        out = linfinity_reduce(_audited(u, x, lists), *EMPTY, flat_index(u, lists), 1.0, u.n)
+    z = _dense(u, out)
     assert spy.widths
     assert abs(z[f_star] + 1) < 1e-12
     assert_allclose(z, _oracle_z(u, x, np.zeros(u.n), lists, 1.0)[2], rtol=0, atol=1e-12)
 
 
-def _round_peak(u, r, b, planted=False):
-    """tracemalloc peak of one round on R lists of B points against y = 0.
+CAP = 26 * 4  # the driver's cap C_S*k at k = 4, the planted tones
 
-    With a random x every row survives at nu = 1. With planted, x holds 4 tones and at
-    nu = 2 few rows survive; the round must keep exactly those tones.
+
+def _round_peak(u, r, b, planted=False):
+    """tracemalloc peak of one round on R lists of B points against y = 0, with cap = CAP.
+
+    With a random x every row survives at nu = 1, and the round raises OccupancyError
+    after the first slab that takes its kept count past CAP. With planted, x holds 4 tones
+    and at nu = 2 few rows survive; the round must keep exactly those tones.
     """
     rng = np.random.default_rng(16)
     if planted:
@@ -362,15 +385,19 @@ def _round_peak(u, r, b, planted=False):
     else:
         x, nu = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n), 1.0
     lists = _draw_lists(u, r=r, b=b, seed=17)
-    sig, y = _audited(u, x, lists), np.zeros(u.n, dtype=np.complex128)
+    sig = _audited(u, x, lists)
     tracemalloc.start()
     try:
-        z = linfinity_reduce(sig, y, flat_index(u, lists), nu=nu).z
+        if planted:
+            out = linfinity_reduce(sig, *EMPTY, flat_index(u, lists), nu=nu, cap=CAP)
+        else:
+            with pytest.raises(OccupancyError, match=rf"more than C_S\*k = {CAP}$"):
+                linfinity_reduce(sig, *EMPTY, flat_index(u, lists), nu=nu, cap=CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     if planted:
-        assert np.flatnonzero(z).tolist() == sorted(tones)
+        assert out.flats.tolist() == sorted(tones)
     return peak
 
 
@@ -379,12 +406,13 @@ def _round_peak(u, r, b, planted=False):
     "p, d, r, b", [(16, 3, 6, 128), (16, 3, 48, 128), (2, 13, 6, 64), (4, 6, 9, 64), (4, 8, 64, 64)]
 )
 def test_round_memory_bounds_one_round(p, d, r, b, planted):
-    # the guard's round term covers all a round holds besides its length-n z, with
+    # the guard's round term covers all a round holds, its kept entries included, with
     # R <= 10 (m = R: the head holds every list) and above, whether every row survives
-    # the head screen or few do (then, for R > 10, their tail is summed term by term)
+    # the head screen (the round then raises at the cap) or few do (then, for R > 10,
+    # their tail is summed term by term)
     u = Universe(p, d)
     _round_peak(u, r, b, planted)  # a first call also loads np.fft plans and GEMM matrices
-    assert _round_peak(u, r, b, planted) - 16 * u.n <= reduction.round_memory(u, r, b)
+    assert _round_peak(u, r, b, planted) <= reduction.round_memory(u, r, b, CAP)
 
 
 def test_round_never_builds_the_estimate_matrix():
@@ -411,33 +439,66 @@ def test_single_slab_round_holds_one_slab_matrix():
 def test_rejects_empty_lists_and_mismatched_universe():
     u = Universe(p=4, d=1)
     sig = AuditedSignal(u, np.zeros(4))
-    y = np.zeros(u.n)
     with pytest.raises(ValueError):
-        linfinity_reduce(sig, y, (), nu=0.5)
+        linfinity_reduce(sig, *EMPTY, (), nu=0.5, cap=4)
     with pytest.raises(ValueError):
-        linfinity_reduce(sig, y, np.zeros((0, 4), dtype=np.int64), nu=0.5)
+        linfinity_reduce(sig, *EMPTY, np.zeros((0, 4), dtype=np.int64), nu=0.5, cap=4)
     v = Universe(p=4, d=2)
     other = flat_index(v, _draw_lists(v, r=2, b=4, seed=0))
     with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(sig, y, other, nu=0.5)
+        linfinity_reduce(sig, *EMPTY, other, nu=0.5, cap=4)
 
 
-@pytest.mark.parametrize("y", [np.zeros(5), np.zeros((1, 4)), {}], ids=["long", "2d", "dict"])
-def test_rejects_y_that_is_not_a_length_n_array(y):
-    u = Universe(p=4, d=1)
-    lists = _draw_lists(u, r=2, b=4, seed=0)
-    with pytest.raises(ValueError, match="length-4 spectrum"):
-        linfinity_reduce(_audited(u, np.zeros(4), lists), y, flat_index(u, lists), nu=0.5)
+BAD_Y = {
+    "2d": (np.zeros((1, 1), dtype=np.int64), np.ones((1, 1)), "1-d"),
+    "lengths": (np.array([0, 1]), np.ones(1), "one length"),
+    "values-2d": (np.array([0]), np.ones((1, 1)), "one length"),
+    "too-large": (np.array([1, 4]), np.ones(2), "out of range"),
+    "negative": (np.array([-1]), np.ones(1), "out of range"),
+}
 
 
-def test_reduce_h_rounds_needs_a_complex_y_to_add_into():
-    # the rounds add into y in place: a float y is refused before any read (nothing
-    # is granted, so a read would raise AuditViolation)
+@pytest.mark.parametrize("case", sorted(BAD_Y))
+def test_rejects_y_that_is_not_1d_of_one_length_in_range(case):
+    # y's supp and values are 1-d arrays of one length, with supp in [0, n); a round and
+    # reduce_h_rounds refuse a bad y before any read (nothing is granted, so a read would
+    # raise AuditViolation)
+    supp, values, message = BAD_Y[case]
     u = Universe(p=4, d=1)
     bundle = SampleBundle.draw(u, h=2, r=2, b=4, entropy=0)
-    for y in (np.zeros(4), [0j] * 4):
-        with pytest.raises(ValueError, match="complex128"):
-            reduce_h_rounds(AuditedSignal(u, np.zeros(4)), y, bundle, nu=0.5)
+    sig = AuditedSignal(u, np.zeros(4))
+    with pytest.raises(ValueError, match=message):
+        linfinity_reduce(sig, supp, values, bundle.flats[0], nu=0.5, cap=4)
+    with pytest.raises(ValueError, match=message):
+        reduce_h_rounds(sig, supp, values, bundle, nu=0.5, cap=4)
+
+
+def test_reduce_h_rounds_raises_when_y_outgrows_the_cap():
+    # y holds two of four tones exactly, so the round keeps the other two, within a cap
+    # of 3; their merge makes y four entries long, and reduce_h_rounds raises on it
+    u, tones = Universe(p=16, d=2), [5, 37, 90, 200]
+    xhat = _spectrum(u, dict(zip(tones, [1.0, np.exp(0.7j), -0.9, 0.8j])))
+    lists = _draw_lists(u, r=9, b=64, seed=3)
+    bundle = SampleBundle(u, flat_index(u, lists)[None])
+    supp, values = np.array(tones[2:]), xhat[tones[2:]]
+
+    def signal():
+        return _audited(u, inverse(u, xhat), lists)
+
+    out = linfinity_reduce(signal(), supp, values, bundle.flats[0], nu=0.6, cap=3)
+    assert out.flats.tolist() == tones[:2]  # the round alone stays within the cap
+    with pytest.raises(OccupancyError, match=r"^round 1: y holds 4 entries, C_S\*k = 3,"):
+        reduce_h_rounds(signal(), supp, values, bundle, nu=0.6, cap=3)
+    assert reduce_h_rounds(signal(), supp, values, bundle, nu=0.6, cap=4)[0].tolist() == tones
+
+
+def test_reduce_h_rounds_raises_on_a_non_finite_y():
+    u = Universe(p=4, d=2)
+    bundle = SampleBundle.draw(u, h=1, r=3, b=4, entropy=0)
+    sig = AuditedSignal(u, np.zeros(u.n))
+    sig.grant_bundle(bundle)
+    with np.errstate(invalid="ignore"), pytest.raises(OccupancyError, match="max \\|y\\| = nan"):
+        reduce_h_rounds(sig, np.array([3]), np.array([np.nan + 0j]), bundle, nu=0.5, cap=4)
 
 
 def test_rejects_nonpositive_nu():
@@ -446,7 +507,7 @@ def test_rejects_nonpositive_nu():
     for nu in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="nu="):
             sig = _audited(u, np.zeros(4), lists)
-            linfinity_reduce(sig, np.zeros(4), flat_index(u, lists), nu=nu)
+            linfinity_reduce(sig, *EMPTY, flat_index(u, lists), nu=nu, cap=4)
 
 
 def test_determinism():
@@ -454,9 +515,9 @@ def test_determinism():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
     lists = _draw_lists(u, r=5, b=20, seed=13)
-    a = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=0.6)
-    b = linfinity_reduce(_audited(u, x, lists), np.zeros(u.n), flat_index(u, lists), nu=0.6)
-    assert np.array_equal(a.z, b.z)
+    a = linfinity_reduce(_audited(u, x, lists), *EMPTY, flat_index(u, lists), nu=0.6, cap=u.n)
+    b = linfinity_reduce(_audited(u, x, lists), *EMPTY, flat_index(u, lists), nu=0.6, cap=u.n)
+    assert np.array_equal(a.flats, b.flats) and np.array_equal(a.z, b.z)
 
 
 # ------------------------------------------------------------- multi-round
@@ -471,11 +532,11 @@ def test_single_round_equals_direct_call():
 
     sig1 = AuditedSignal(u, x)
     sig1.grant_bundle(bundle)
-    z_rounds = reduce_h_rounds(sig1, np.zeros(u.n, dtype=np.complex128), bundle, nu=0.8)
+    supp, values = reduce_h_rounds(sig1, *EMPTY, bundle, nu=0.8, cap=u.n)
 
     sig2 = _audited(u, x, lists)
-    direct = linfinity_reduce(sig2, np.zeros(u.n), flat_index(u, lists), nu=0.8)
-    assert np.array_equal(z_rounds, direct.z)
+    direct = linfinity_reduce(sig2, *EMPTY, flat_index(u, lists), nu=0.8, cap=u.n)
+    assert np.array_equal(supp, direct.flats) and np.array_equal(values, direct.z)
 
 
 def test_noiseless_two_sparse_residual_walks_down():
@@ -494,7 +555,8 @@ def test_noiseless_two_sparse_residual_walks_down():
 
     z = np.zeros(u.n, dtype=np.complex128)
     for i in range(1, h_rounds + 1):
-        z += linfinity_reduce(sig, z, bundle.flats[i - 1], nu=nu * 2.0 ** (1 - i)).z
+        out = linfinity_reduce(sig, *_sparse(z), bundle.flats[i - 1], nu * 2.0 ** (1 - i), u.n)
+        z += _dense(u, out)
         assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - i) * nu + 1e-12
 
     assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - h_rounds) * nu
@@ -512,7 +574,8 @@ def test_reduce_h_rounds_end_to_end_three_sparse():
     bundle = SampleBundle.draw(u, h=h_rounds, r=9, b=96, entropy=31)
     sig = AuditedSignal(u, x)
     sig.grant_bundle(bundle)
-    z = reduce_h_rounds(sig, np.zeros(u.n, dtype=np.complex128), bundle, nu=nu)
+    supp, values = reduce_h_rounds(sig, *EMPTY, bundle, nu=nu, cap=u.n)
+    z = densify(u, dict(zip(supp.tolist(), values)))
 
     assert np.max(np.abs(xhat - z)) <= 2.0 ** (1 - h_rounds) * nu
     assert sig.all_granted_read()

@@ -74,11 +74,11 @@ def test_draw_is_uniform_over_cells():
 def test_sample_list_validates_points():
     # a row of lists must fit the signal's universe: an (R, B) array of flat indices in [0, n)
     u = Universe(p=4, d=2)
-    sig, y = AuditedSignal(u, np.zeros(u.n)), np.zeros(u.n)
+    sig, supp, values = AuditedSignal(u, np.zeros(u.n)), np.empty(0, dtype=np.int64), np.empty(0)
     with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(sig, y, np.zeros((1, 3, 5), dtype=np.int64), nu=1.0)
-    with pytest.raises(ValueError, match="universe"):
-        linfinity_reduce(sig, y, np.array([[0, 16]]), nu=1.0)  # flat index out of range
+        linfinity_reduce(sig, supp, values, np.zeros((1, 3, 5), dtype=np.int64), nu=1.0, cap=u.n)
+    with pytest.raises(ValueError, match="universe"):  # flat index out of range
+        linfinity_reduce(sig, supp, values, np.array([[0, 16]]), nu=1.0, cap=u.n)
 
 
 def test_stream_rng_reproducible_and_disjoint():
