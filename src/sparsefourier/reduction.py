@@ -20,11 +20,16 @@ counts as large): a row with more than R//2 small estimates keeps nothing.
     rounding), every row has a majority of small estimates, and the round
     keeps nothing after its reads, with no transform.
   - Majority first: per slab, only the first m = min(R, R//2 + 1 + SPARE) lists
-    are transformed. A row with more than R//2 small estimates among those m is
-    dropped. Only the survivors get the other R - m estimates: from characters()
-    at those rows while rows * B <= CROSS * s, otherwise from a transform of
-    the tail lists. Their R estimates are screened again and, where a median can
-    still pass, partitioned for it. When m = R (R <= 10) the head holds every
+    are transformed, in the round's one (s, m) slab matrix. A row with more than
+    R//2 small estimates among those m is dropped. Only the survivors get the
+    other R - m estimates: from characters() at those rows while
+    rows * B <= CROSS * s, otherwise from a transform of the tail lists in the
+    same matrix (R - m <= m). Their R estimates are screened again and, where a
+    median can still pass, partitioned for it. After a tail transform the head
+    rows still needed come from characters() by the same CROSS rule, or, past
+    it, from a second head transform once the survivors' tail rows are copied
+    out, for half a slab of rows at a time (the tail, then the head, is
+    transformed again for the rest). When m = R (R <= 10) the head holds every
     list and the tail is empty, so the head's screen decides every row.
 
 Running H such rounds against the rows of a SampleBundle walks the radius
@@ -76,21 +81,27 @@ def _head(r: int) -> int:
 
 
 def _direct_rows(s: int, b: int) -> int:
-    """Rows per block of characters(): its (R - m, B, rows) table holds less than an (s, R - m)
-    complex matrix (16 bytes a character and 8 for its phase)."""
-    return max(1, s // (2 * b))
+    """Rows per block of characters(): for any number of lists, its (lists, B, rows) table (16
+    bytes a character and 8 for its phase) holds under a fifth of an (s, lists) complex matrix,
+    so the term-by-term estimates add little to the round's one slab matrix."""
+    return max(1, s // (8 * b))
 
 
 def round_memory(u: Universe, r: int, b: int, cap: int) -> int:
-    """Bytes a round of R lists of B points holds: the (s, m) head matrix with the largest of
-    its grouped transform's scratch, the (s, R - m) tail matrix (and its scratch), or the
-    direct tail's (CROSS * s / B, R - m) estimates (at most three copies) with one block of
-    characters (24 bytes a term); the (R, B, d) sample coordinates, their (R, B) arrays, screen
-    blocks, per-row counts and indices; y's coordinates and cap + s kept entries, twice."""
+    """Bytes a round of R lists of B points holds, at its worst: the one (s, m) slab matrix and
+    the larger of two paths past the head screen. Past CROSS * s / B survivors of the full
+    screen, the tail rows of at most half a slab of them are copied out while the head is
+    transformed again, with, for grouped(p), that transform's (s, m) scratch (which also covers
+    the tail transform's). Below it, the head estimates of CROSS * s / B rows are summed term by
+    term next to the tail transform's scratch, with one block of characters (24 bytes a term).
+    Besides them: the (R, B, d) sample coordinates, their (R, B) arrays, screen blocks, per-row
+    counts and indices; y's coordinates and cap + s kept entries, twice."""
     s, m, g = slab_universe(u).n, _head(r), grouped(u.p)
-    direct = (r - m) * (24 * b * _direct_rows(s, b) + 48 * (CROSS * s // b))
-    tail = max(16 * s * m * g, 16 * s * (r - m) * (1 + g), direct)
-    return 16 * s * m + tail + r * (8 * b * (u.d + 10) + 10 * SCREEN) + 56 * s + 8 * (8 + u.d) * cap
+    rows, step = CROSS * s // b, _direct_rows(s, b)
+    second = 16 * s * m * g + 16 * ((s + 1) // 2) * (r - m)
+    summed = 16 * s * (r - m) * g + m * (24 * b * step + 16 * (rows + step)) + 8 * u.d * rows
+    return 16 * s * m + max(second, summed * (m < r)) + r * (8 * b * (u.d + 10) + 10 * SCREEN) \
+        + 56 * s + 8 * (8 + u.d) * cap
 
 
 def _small_counts(est: np.ndarray, nu: float) -> np.ndarray:
@@ -116,11 +127,33 @@ def _estimates(u: Universe, points: np.ndarray, values: np.ndarray, freqs) -> np
     return np.matmul(values[:, None, :], characters(u, points, freqs))[:, 0].T
 
 
-def _slab_transform(fast: Universe, mat: np.ndarray, index, weights: np.ndarray) -> np.ndarray:
-    """slab_forward of the weights scattered into mat (zeroed first) at index."""
-    mat.fill(0)
-    np.add.at(mat, index, weights)
-    return slab_forward(fast, mat)  # keep the array that holds the transform, free the other
+def _summed(u: Universe, points: np.ndarray, terms: np.ndarray, flats, step: int) -> np.ndarray:
+    """_estimates at the flat frequencies flats, filled step of them at a time."""
+    freqs = unflat_index(u, flats)
+    out = np.empty((len(flats), len(points)), dtype=np.complex128)
+    for j in range(0, len(flats), step):
+        out[j : j + step] = _estimates(u, points, terms, freqs[j : j + step])
+    return out
+
+
+def _slab_transform(fast: Universe, mat: np.ndarray, at: np.ndarray, weights: np.ndarray):
+    """slab_forward of the weights (a row per list) scattered at the slab rows at into the
+    first len(weights) columns' worth of mat, as one C-contiguous matrix zeroed first."""
+    cols = mat.reshape(-1)[: fast.n * len(weights)].reshape(fast.n, len(weights))
+    cols.fill(0)
+    np.add.at(cols, (at, np.arange(len(weights))[:, None]), weights)
+    return slab_forward(fast, cols)  # keep the array that holds the transform, free the other
+
+
+def _select(rows: np.ndarray, head: np.ndarray, hpos, tail: np.ndarray, tpos, nu: float) -> list:
+    """(flats, medians) pairs of the rows whose lower median over their head estimates (rows
+    hpos of head) and tail estimates (rows tpos of tail) passes; copies at most SCREEN//4 rows."""
+    kept = []
+    for j in range(0, len(rows), SCREEN // 4):
+        block = slice(j, j + SCREEN // 4)
+        med = _passing(np.hstack((head[hpos[block]], tail[tpos[block]])), nu)
+        kept.append((rows[block][med != 0], med[med != 0]))
+    return kept
 
 
 def linfinity_reduce(signal: AuditedSignal, supp, values, flats, nu: float, cap) -> ReduceOutput:
@@ -136,8 +169,10 @@ def linfinity_reduce(signal: AuditedSignal, supp, values, flats, nu: float, cap)
     Estimates come one slab of s = p^m flat frequencies sharing f_hi = (f_m..f_{d-1})
     at a time: samples weighted by omega^(f_hi.t_hi) feed one batched m-dim transform
     (dft.slab_forward: grouped character-matrix GEMMs for p < dft.GROUP, an FFT
-    otherwise); with s = n that is one n-point transform. The head lists are
-    transformed for every slab, the tail lists only for its survivors (module docstring).
+    otherwise); with s = n that is one n-point transform. The round holds one (s, m) slab
+    matrix: the head lists are transformed in it for every slab, the tail lists, for the
+    slabs where more than CROSS * s / B rows survive the head, in its first R - m columns
+    (module docstring).
     """
     if not 0 < nu < np.inf:
         raise ValueError(f"radius nu must be positive and finite, got nu={nu}")
@@ -152,70 +187,81 @@ def linfinity_reduce(signal: AuditedSignal, supp, values, flats, nu: float, cap)
     residuals = np.array([signal.read(f) - sparse_eval_time(u, t, freqs, values)
                           for f, t in zip(flats, points)])
     r, b = residuals.shape
-    at_kept, z = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)]
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))]
     bounds = np.abs(residuals).sum(axis=1) * (np.sqrt(u.n) / b)  # M_j >= |parts| of list j
     if np.count_nonzero(bounds * (1 + 1e-9) < 0.35 * nu) > r // 2:
-        return ReduceOutput(at_kept[0], z[0])  # every row has a majority of small estimates
+        return ReduceOutput(*kept[0])  # every row has a majority of small estimates
     fast = slab_universe(u)
     s, m = fast.n, _head(r)
     scaled = residuals * (u.n / b * np.sqrt(s / u.n))  # n/B when s = n
-    at, lists = flats % s, np.arange(r)[:, None]
-    terms = residuals[m:] * (np.sqrt(u.n) / b)  # the tail lists' estimates are their sums
+    at = flats % s
+    terms = residuals * (np.sqrt(u.n) / b)  # a list's estimates are the sums of its terms
     step = _direct_rows(s, b)
-    head = np.empty((s, m), dtype=np.complex128)  # one head matrix, refilled per slab
+    mat = np.empty((s, m), dtype=np.complex128)  # the round's one slab matrix
     for lo in range(0, u.n, s):  # slab [lo, lo + s) shares the slow coordinates of lo
         # lo's fast coordinates are 0, so omega^(lo.t) is the slab weight omega^(f_hi.t_hi)
-        tail = None  # the last slab's tail goes before this slab allocates
+        head = tail = None  # the last slab's copies go before this slab's transform
         weights = scaled * characters(u, points, unflat_index(u, lo))
-        head = _slab_transform(fast, head, (at[:m], lists[:m]), weights[:m])
-        counts = _small_counts(head, nu)
+        mat = _slab_transform(fast, mat, at[:m], weights[:m])
+        counts = _small_counts(mat, nu)
         cand = np.flatnonzero(counts <= r // 2)  # a row outvoted among the head lists keeps nothing
         if not len(cand):
             continue
         if m == r:  # the head holds every list: the tail is a zero-width view
-            tail, pos = head[:, m:], cand
+            kept += _select(lo + cand, mat, cand, mat[:, m:], cand, nu)
         elif len(cand) * b <= CROSS * s:  # few survivors: their tail estimates, term by term
-            at_cand = unflat_index(u, lo + cand)
-            tail = np.concatenate(
-                [_estimates(u, points[m:], terms, at_cand[j : j + step])
-                 for j in range(0, len(cand), step)]
-            )
-            pick = counts[cand] + _small_counts(tail, nu) <= r // 2
-            cand, tail = cand[pick], tail[pick]
-            pos = np.arange(len(cand))
-        else:
-            tail = np.empty((s, r - m), dtype=np.complex128)
-            tail = _slab_transform(fast, tail, (at[m:], lists[: r - m]), weights[m:])
+            tail = _summed(u, points[m:], terms[m:], lo + cand, step)
+            pick = np.flatnonzero(counts[cand] + _small_counts(tail, nu) <= r // 2)
+            kept += _select(lo + cand[pick], mat, cand[pick], tail, pick, nu)
+        else:  # the tail lists in the matrix's first R - m columns, then the head rows still needed
+            tail = _slab_transform(fast, mat, at[m:], weights[m:])
             counts += _small_counts(tail, nu)
-            cand = pos = np.flatnonzero(counts <= r // 2)
-        for j in range(0, len(cand), SCREEN // 4):  # copies of at most SCREEN//4 rows
-            rows = cand[j : j + SCREEN // 4]
-            med = _passing(np.hstack((head[rows], tail[pos[j : j + SCREEN // 4]])), nu)
-            at_kept.append(lo + rows[med != 0])
-            z.append(med[med != 0])
-        if sum(map(len, z)) > cap:
-            raise OccupancyError(f"kept {sum(map(len, z))} entries, more than C_S*k = {cap}")
-    return ReduceOutput(np.concatenate(at_kept), np.concatenate(z))
+            cand = np.flatnonzero(counts <= r // 2)
+            if len(cand) * b <= CROSS * s:  # few survivors: their head estimates, term by term
+                head = _summed(u, points[:m], terms[:m], lo + cand, step)
+                kept += _select(lo + cand, head, np.arange(len(cand)), tail, cand, nu)
+            else:  # many: half a slab of rows at a time, the head lists again in the matrix
+                half = (s + 1) // 2
+                for j in range(0, len(cand), half):
+                    if j:  # the tail lists again, for the next rows
+                        tail = _slab_transform(fast, mat, at[m:], weights[m:])
+                    rows = cand[j : j + half]
+                    tail = tail[rows]  # copied out before the head lists refill the matrix
+                    mat = _slab_transform(fast, mat, at[:m], weights[:m])
+                    kept += _select(lo + rows, mat, rows, tail, np.arange(len(rows)), nu)
+        if (held := sum(len(f) for f, _ in kept)) > cap:
+            raise OccupancyError(f"kept {held} entries, more than C_S*k = {cap}")
+    return ReduceOutput(*map(np.concatenate, zip(*kept)))
+
+
+def _check_y(supp: np.ndarray, values: np.ndarray, cap) -> None:
+    """Raise OccupancyError when y holds more than cap entries or a non-finite value."""
+    if len(supp) > cap or not np.isfinite(values).all():
+        raise OccupancyError(f"y holds {len(supp)} entries, C_S*k = {cap},"
+                             f" max |y| = {abs(values).max()}")
 
 
 def reduce_h_rounds(signal: AuditedSignal, supp, values, bundle: SampleBundle, nu: float, cap):
     """Run one round per bundle row with geometrically shrinking radius, merging each into y.
 
     Round i uses bundle row i with radius 2^(1-i) * nu, so on success the residual
-    ends below 2^(1-H) * nu for H rows. Each round merges into y = (supp, values) by
-    a sorted union that adds shared entries and drops zeros. A y of more than cap
-    entries, or with a non-finite one, raises OccupancyError, as a round does.
+    ends below 2^(1-H) * nu for H rows. Each round that keeps entries merges them into
+    y = (supp, values) by a sorted union that adds shared entries and drops zeros; a
+    round that keeps none leaves the very arrays in place. A y of more than cap entries,
+    or with a non-finite one, raises OccupancyError, as a round does: the caller's y is
+    checked at round 1, and after it only a merge changes y.
     """
     for i, row in enumerate(bundle.flats, start=1):
         try:
+            if i == 1:
+                _check_y(supp, values, cap)
             out = linfinity_reduce(signal, supp, values, row, (2.0 ** (1 - i)) * nu, cap)
-            supp, at = np.unique(np.concatenate((supp, out.flats)), return_inverse=True)
-            merged = np.zeros(len(supp), dtype=np.complex128)
-            np.add.at(merged, at, np.concatenate((values, out.z)))  # y's entry, then z's
-            supp, values = supp[merged != 0], merged[merged != 0]
-            if len(supp) > cap or not np.isfinite(values).all():
-                raise OccupancyError(f"y holds {len(supp)} entries, C_S*k = {cap},"
-                                     f" max |y| = {abs(values).max()}")
+            if len(out.flats):
+                supp, at = np.unique(np.concatenate((supp, out.flats)), return_inverse=True)
+                merged = np.zeros(len(supp), dtype=np.complex128)
+                np.add.at(merged, at, np.concatenate((values, out.z)))  # y's entry, then z's
+                supp, values = supp[merged != 0], merged[merged != 0]
+                _check_y(supp, values, cap)
         except OccupancyError as exc:
             raise OccupancyError(f"round {i}: {exc}") from None
     return supp, values

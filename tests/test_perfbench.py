@@ -10,9 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# ladder-4k with --trace 1 checks every call count, shift draws included
+# ladder-4k with --trace 1 checks every call count, shift draws included; highdim-65k
+# runs the grouped (GEMM) slab transform end to end
 @pytest.mark.slow
-@pytest.mark.parametrize("workload,trace", [("noisy-65k", "0"), ("ladder-4k", "1")])
+@pytest.mark.parametrize(
+    "workload,trace", [("noisy-65k", "0"), ("highdim-65k", "0"), ("ladder-4k", "1")]
+)
 def test_perfbench_runs_and_passes_its_checks(workload, trace, tmp_path):
     script = ROOT / "perfbench" / "run.py"
     proc = subprocess.run(

@@ -258,8 +258,9 @@ class _Spy:
 )
 def test_majority_first_round_matches_the_dense_oracle(shape, r, few, zeros, seed):
     # a planted 4-sparse residual; at nu = 2 only its rows outlast the head lists, so
-    # their tail estimates come term by term, and at nu = 2^-20 every row does, so
-    # the tail lists are transformed: either way z is the dense oracle's. With zeros,
+    # their tail estimates come term by term, and at nu = 2^-20 every row outlasts all
+    # R lists, so per slab and per half of its rows the tail lists are transformed in the
+    # head's matrix and then the head lists again: either way z is the dense oracle's. With zeros,
     # the first R//2 lists read zero residuals, so the planted rows have exactly R//2
     # small estimates, all among the head lists, and the tail decides their medians
     u = Universe(*shape)
@@ -286,12 +287,12 @@ def test_majority_first_round_matches_the_dense_oracle(shape, r, few, zeros, see
         spy = _Spy(mp)
         out = linfinity_reduce(_audited(u, x, lists), *_sparse(y), flat_index(u, lists), nu, u.n)
     z = _dense(u, out)
-    m = _head(r)
-    assert m < r and spy.widths.count(m) == u.n // slab_universe(u).n
+    m, slabs = _head(r), u.n // slab_universe(u).n
+    assert m < r
     if few:
-        assert spy.direct > 0
+        assert spy.widths.count(m) == slabs and spy.direct > 0
     else:
-        assert spy.direct == 0 and r - m in spy.widths
+        assert spy.direct == 0 and spy.widths == [m, r - m, m, r - m, m] * slabs
     assert np.flatnonzero(z).tolist() == np.flatnonzero(expected).tolist()
     assert np.max(np.abs(z - expected)) <= 1e-12 * scale
 
@@ -434,6 +435,45 @@ def test_single_slab_round_holds_one_slab_matrix():
     # one (s, R) slab matrix, with no transposed copy of it
     u, r = Universe(p=16, d=3), 48
     assert _round_peak(u, r, b=128) < 1.4 * r * u.n * 16
+
+
+def test_noisy_65k_first_round_transforms_the_tail_in_the_head_matrix():
+    # noisy-65k's first round: at nu = 1, nearly every row of every slab outlasts the 37
+    # head lists against 8 unit tones, so the 27 tail lists are transformed, in the head's
+    # own matrix, and only the tones outlast all 64: their head estimates are summed term
+    # by term. The round keeps the tones and holds less than the (s, R) head and tail
+    u, r, b = Universe(p=16, d=4), 64, 64
+    rng = np.random.default_rng(23)
+    tones = np.sort(rng.choice(u.n, size=8, replace=False))
+    xhat = np.zeros(u.n, dtype=np.complex128)
+    xhat[tones] = np.exp(2j * np.pi * rng.random(8))
+    lists = _draw_lists(u, r=r, b=b, seed=24)
+    sig = _audited(u, inverse(u, xhat), lists)
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _Spy(mp)
+        out = linfinity_reduce(sig, *EMPTY, flat_index(u, lists), nu=1.0, cap=CAP)
+    m, slabs = _head(r), u.n // slab_universe(u).n
+    assert spy.widths == [m, r - m] * slabs and spy.direct > 0
+    assert out.flats.tolist() == tones.tolist()
+    tracemalloc.start()
+    try:
+        linfinity_reduce(sig, *EMPTY, flat_index(u, lists), nu=1.0, cap=CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * slab_universe(u).n * r
+
+
+def test_reduce_h_rounds_leaves_y_in_place_when_nothing_is_kept():
+    # y is the exact spectrum, so every round reads zero residuals and keeps nothing:
+    # the rung returns the very arrays it was given, with no merge
+    u = Universe(p=8, d=2)
+    supp, values = np.array([3, 40]), np.array([1.0 + 0j, -0.5j])
+    bundle = SampleBundle.draw(u, h=3, r=5, b=8, entropy=4)
+    sig = AuditedSignal(u, inverse(u, _spectrum(u, dict(zip(supp.tolist(), values)))))
+    sig.grant_bundle(bundle)
+    got = reduce_h_rounds(sig, supp, values, bundle, nu=0.5, cap=4)
+    assert got[0] is supp and got[1] is values
 
 
 def test_rejects_empty_lists_and_mismatched_universe():
